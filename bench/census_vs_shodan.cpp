@@ -18,13 +18,12 @@ int main() {
   const auto whois = world.buildAsnDatabase();
   const auto engine = fingerprint::Engine::withBuiltinSignatures();
 
-  scan::BannerIndex shodan;
-  shodan.crawl(world, geo);
+  const auto shodan = scan::crawlStream(world, geo);
 
   // The census sweeps whole prefixes across the signature ports.
   scan::CensusScanner census({80, 4711, 8080, 8082, 15871});
-  const auto sweptRecords = census.sweep(world, geo);
-  auto censusIndex = scan::BannerIndex::fromRecords(sweptRecords);
+  const auto censusIndex =
+      scan::ShardedBannerIndex::fromRecords(census.sweep(world, geo));
 
   std::uint64_t addressesProbed = 0;
   for (const auto* as : world.allAses())
@@ -37,10 +36,11 @@ int main() {
                         .c_str());
   report::TextTable sources({"Source", "Probes issued", "Banners indexed"});
   sources.addRow({"Shodan-style crawl (known surfaces)",
-                  std::to_string(shodan.size()), std::to_string(shodan.size())});
+                  std::to_string(shodan.docCount()),
+                  std::to_string(shodan.docCount())});
   sources.addRow({"Census-style sweep (5 ports x address space)",
                   std::to_string(addressesProbed),
-                  std::to_string(censusIndex.size())});
+                  std::to_string(censusIndex.docCount())});
   std::printf("%s", sources.render().c_str());
 
   core::Identifier fromShodan(world, shodan, engine, geo, whois);
@@ -68,6 +68,6 @@ int main() {
       "\nBoth sources validate to the same installations; the census pays\n"
       "~%llux more probes for independence from the crawler's surface list.\n",
       static_cast<unsigned long long>(
-          addressesProbed / std::max<std::size_t>(1, shodan.size())));
+          addressesProbed / std::max<std::size_t>(1, shodan.docCount())));
   return 0;
 }

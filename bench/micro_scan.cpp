@@ -1,8 +1,9 @@
-// Scan→identify hot-path benchmark: linear-reference vs indexed
-// BannerIndex::searchAll (the §3.1 keyword×country fan-out), serial vs
-// parallel crawl and Identifier::identifyAll on RandomWorld, and the
-// million-host streamed pipeline (crawlStream → ShardedBannerIndex) with
-// peak-RSS accounting against a documented budget.
+// Scan→identify hot-path benchmark: the linear oracle (scan/reference_search.h)
+// vs the index's ShardedBannerIndex::searchAll (the §3.1 keyword×country
+// fan-out), serial vs parallel crawl and Identifier::identifyAll on
+// RandomWorld (one-shard eager builds), and the million-host streamed
+// pipeline (crawlStream over an attached host stream) with peak-RSS
+// accounting against a documented budget.
 // Emits BENCH_scan.json so later PRs have a perf trajectory.
 //
 // The streamed rows run FIRST: VmHWM is monotone, so their peak-RSS column
@@ -25,6 +26,7 @@
 #include "net/cctld.h"
 #include "report/json.h"
 #include "scan/banner_index.h"
+#include "scan/reference_search.h"
 #include "scan/serialize.h"
 #include "scenarios/random_world.h"
 #include "simnet/world_stream.h"
@@ -111,7 +113,7 @@ std::vector<scan::Query> fullFanOut() {
 }
 
 core::Identifier makeIdentifier(scenarios::RandomWorld& world,
-                                const scan::BannerIndex& index,
+                                const scan::ShardedBannerIndex& index,
                                 std::size_t threads) {
   core::IdentifierConfig config;
   config.threads = threads;
@@ -210,26 +212,18 @@ report::Json streamedReferenceCheck(std::uint64_t hosts) {
   stream->announceInto(eagerWorld);
   stream->materializeInto(eagerWorld);
   const auto geoEager = eagerWorld.buildGeoDatabase();
-  scan::BannerIndex reference;
-  reference.crawl(eagerWorld, geoEager);
+  const auto reference = scan::crawlStream(eagerWorld, geoEager);
 
-  std::vector<scan::BannerRecord> fetched;
-  fetched.reserve(sharded.docCount());
-  for (std::uint32_t doc = 0; doc < sharded.docCount(); ++doc)
-    fetched.push_back(sharded.fetchRecord(doc));
+  const auto eagerRecords = reference.fetchAllRecords();
   const bool recordsEqual =
-      sharded.docCount() == reference.size() &&
-      scan::exportRecords(fetched, 0) == scan::exportRecords(reference.records(), 0);
+      scan::exportRecords(sharded.fetchAllRecords(), 0) ==
+      scan::exportRecords(eagerRecords, 0);
 
+  // Streamed search against the linear oracle over the eager records (doc
+  // ids coincide when the records do).
   const auto queries = fullFanOut();
-  const auto shardedDocs = sharded.searchAll(queries);
-  const auto referenceHits = reference.searchAll(queries);
-  bool searchEqual = shardedDocs.size() == referenceHits.size();
-  for (std::size_t i = 0; searchEqual && i < shardedDocs.size(); ++i) {
-    const auto surface = sharded.surface(shardedDocs[i]);
-    searchEqual = surface.ip.value() == referenceHits[i]->ip.value() &&
-                  surface.port == referenceHits[i]->port;
-  }
+  const bool searchEqual =
+      sharded.searchAll(queries) == scan::referenceSearch(eagerRecords, queries);
 
   const core::Identifier viaStream(
       streamedWorld, sharded, fingerprint::Engine::withBuiltinSignatures(),
@@ -267,13 +261,13 @@ report::Json benchAtSize(int hosts, int reps) {
   out["hosts"] = report::Json::number(std::int64_t{hosts});
 
   // --- crawl: serial vs parallel (identical index either way) ------------
-  scan::BannerIndex index;
+  scan::StreamCrawlOptions serial;
+  serial.threadLimit = 1;
+  scan::ShardedBannerIndex index;
   const auto [crawlSerialMs, crawlParallelMs] = bestOfPaired(
-      reps,
-      [&] { index.crawl(world.world(), geo, 2048, /*threadLimit=*/1); },
-      [&] { index.crawl(world.world(), geo, 2048, /*threadLimit=*/0); });
-  out["records"] = report::Json::number(
-      static_cast<std::int64_t>(index.size()));
+      reps, [&] { index = scan::crawlStream(world.world(), geo, serial); },
+      [&] { index = scan::crawlStream(world.world(), geo); });
+  out["records"] = report::Json::number(std::int64_t{index.docCount()});
   out["vocabulary"] = report::Json::number(
       static_cast<std::int64_t>(index.vocabularySize()));
   out["crawl_serial_ms"] = report::Json::number(crawlSerialMs);
@@ -281,18 +275,17 @@ report::Json benchAtSize(int hosts, int reps) {
   out["crawl_speedup"] =
       report::Json::number(crawlSerialMs / crawlParallelMs);
 
-  // --- searchAll: linear reference vs posting-list index -----------------
+  // --- searchAll: linear oracle vs the posting-list index ----------------
   const auto queries = fullFanOut();
   out["search_all_queries"] = report::Json::number(
       static_cast<std::int64_t>(queries.size()));
 
-  std::vector<const scan::BannerRecord*> referenceHits;
-  index.setSearchMode(scan::BannerIndex::SearchMode::kReference);
-  const double searchReferenceMs =
-      bestOf(reps, [&] { referenceHits = index.searchAll(queries); });
+  const auto records = index.fetchAllRecords();
+  std::vector<std::uint32_t> referenceHits;
+  const double searchReferenceMs = bestOf(
+      reps, [&] { referenceHits = scan::referenceSearch(records, queries); });
 
-  std::vector<const scan::BannerRecord*> indexedHits;
-  index.setSearchMode(scan::BannerIndex::SearchMode::kIndexed);
+  std::vector<std::uint32_t> indexedHits;
   const double searchIndexedMs =
       bestOf(reps, [&] { indexedHits = index.searchAll(queries); });
 
@@ -326,7 +319,7 @@ report::Json benchAtSize(int hosts, int reps) {
   out["identify_results_identical"] = report::Json::boolean(
       core::toJson(serialRun).dump() == core::toJson(parallelRun).dump());
 
-  std::cerr << "hosts=" << hosts << " records=" << index.size()
+  std::cerr << "hosts=" << hosts << " records=" << index.docCount()
             << " crawl serial=" << crawlSerialMs << "ms parallel="
             << crawlParallelMs << "ms (" << crawlSerialMs / crawlParallelMs
             << "x)  searchAll ref=" << searchReferenceMs

@@ -106,10 +106,9 @@ BENCHMARK(BM_CategorizeAsOf)->Arg(1000)->Arg(100000);
 void BM_ScanExport(benchmark::State& state) {
   scenarios::PaperWorld paper;
   const auto geo = paper.world().buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(paper.world(), geo);
+  const auto records = scan::crawlStream(paper.world(), geo).fetchAllRecords();
   for (auto _ : state) {
-    auto text = scan::exportRecords(index.records());
+    auto text = scan::exportRecords(records);
     benchmark::DoNotOptimize(text);
   }
 }
@@ -118,9 +117,8 @@ BENCHMARK(BM_ScanExport)->Unit(benchmark::kMicrosecond);
 void BM_ScanImport(benchmark::State& state) {
   scenarios::PaperWorld paper;
   const auto geo = paper.world().buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(paper.world(), geo);
-  const auto text = scan::exportRecords(index.records());
+  const auto text = scan::exportRecords(
+      scan::crawlStream(paper.world(), geo).fetchAllRecords());
   for (auto _ : state) {
     auto records = scan::importRecords(text);
     benchmark::DoNotOptimize(records);

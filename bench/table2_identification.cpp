@@ -23,8 +23,7 @@ int main() {
   const auto geo = world.buildGeoDatabase();
   const auto whois = world.buildAsnDatabase();
 
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
 
   auto engine = fingerprint::Engine::withBuiltinSignatures();
   core::Identifier identifier(world, index, engine, geo, whois);
@@ -56,7 +55,7 @@ int main() {
 
   std::printf("%s", report::sectionBanner(
                         "Pipeline evaluation over the simulated Internet (" +
-                        std::to_string(index.size()) + " banners indexed)")
+                        std::to_string(index.docCount()) + " banners indexed)")
                         .c_str());
 
   report::TextTable evaluation({"Product", "Keyword candidates",

@@ -35,8 +35,7 @@ StageOutcomes evaluate(const urlf::scenarios::PaperWorldOptions& options,
 
   const auto geo = world.buildGeoDatabase(options.geoErrorRate);
   const auto whois = world.buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
   core::Identifier identifier(world, index,
                               fingerprint::Engine::withBuiltinSignatures(), geo,
                               whois);

@@ -1,7 +1,6 @@
 #include "core/identifier.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "net/cctld.h"
@@ -11,22 +10,12 @@ namespace urlf::core {
 
 using filters::ProductKind;
 
-Identifier::Identifier(simnet::World& world, const scan::BannerIndex& index,
-                       fingerprint::Engine engine, geo::GeoDatabase geo,
-                       geo::AsnDatabase whois, IdentifierConfig config)
-    : world_(&world),
-      index_(&index),
-      engine_(std::move(engine)),
-      geo_(std::move(geo)),
-      whois_(std::move(whois)),
-      config_(config) {}
-
 Identifier::Identifier(simnet::World& world,
                        const scan::ShardedBannerIndex& index,
                        fingerprint::Engine engine, geo::GeoDatabase geo,
                        geo::AsnDatabase whois, IdentifierConfig config)
     : world_(&world),
-      sharded_(&index),
+      index_(&index),
       engine_(std::move(engine)),
       geo_(std::move(geo)),
       whois_(std::move(whois)),
@@ -59,108 +48,51 @@ std::vector<scan::Query> Identifier::productQueries(ProductKind product) const {
   return queries;
 }
 
-std::vector<const scan::BannerRecord*> Identifier::locateCandidates(
+std::vector<std::uint32_t> Identifier::locateCandidates(
     ProductKind product) const {
-  if (index_ == nullptr)
-    throw std::logic_error(
-        "locateCandidates: sharded source holds no records; use "
-        "locateCandidateDocs");
   return index_->searchAll(productQueries(product));
-}
-
-std::vector<std::uint32_t> Identifier::locateCandidateDocs(
-    ProductKind product) const {
-  if (sharded_ == nullptr)
-    throw std::logic_error(
-        "locateCandidateDocs: monolithic source; use locateCandidates");
-  return sharded_->searchAll(productQueries(product));
-}
-
-std::vector<Identifier::Candidate> Identifier::locate(
-    ProductKind product) const {
-  std::vector<Candidate> out;
-  if (index_ != nullptr) {
-    const auto records = index_->searchAll(productQueries(product));
-    out.reserve(records.size());
-    for (const auto* record : records)
-      out.push_back({record->ip, record->port, record, 0});
-  } else {
-    const auto docs = sharded_->searchAll(productQueries(product));
-    out.reserve(docs.size());
-    for (const auto doc : docs) {
-      const auto surface = sharded_->surface(doc);
-      out.push_back({surface.ip, surface.port, nullptr, doc});
-    }
-  }
-  return out;
 }
 
 namespace {
 
-/// View a stored banner as a fingerprint observation (passive mode).
-fingerprint::Observation toObservation(const scan::BannerRecord& record) {
-  fingerprint::Observation obs;
-  obs.ip = record.ip;
-  obs.port = record.port;
-  obs.statusCode = record.statusCode;
-  obs.headers = record.headers;
-  obs.body = record.body;
-  obs.title = record.title;
-  return obs;
-}
-
-/// toObservation into a reused observation: string/field capacity kept.
-void observationInto(const scan::BannerRecord& record,
-                     fingerprint::Observation& out) {
+/// Move a fetched banner into a fingerprint observation (passive mode).
+void observationInto(scan::BannerRecord record, fingerprint::Observation& out) {
   out.ip = record.ip;
   out.port = record.port;
   out.statusCode = record.statusCode;
-  out.headers = record.headers;
-  out.body = record.body;
-  out.title = record.title;
+  out.headers = std::move(record.headers);
+  out.body = std::move(record.body);
+  out.title = std::move(record.title);
 }
 
 }  // namespace
 
-void Identifier::validateReference(const Candidate& candidate,
-                                   ValidationMode mode,
+void Identifier::validateReference(std::uint32_t doc, ValidationMode mode,
                                    std::vector<fingerprint::Match>& out) const {
   if (mode == ValidationMode::kActive) {
-    out = engine_.probe(*world_, candidate.ip, candidate.port);
+    const auto surface = index_->surface(doc);
+    out = engine_.probe(*world_, surface.ip, surface.port);
     return;
   }
-  const scan::BannerRecord* record = candidate.record;
-  scan::BannerRecord fetched;
-  if (record == nullptr) {
-    fetched = sharded_->fetchRecord(candidate.doc);
-    record = &fetched;
-  }
-  out = engine_.evaluate(toObservation(*record));
+  fingerprint::Observation obs;
+  observationInto(index_->fetchRecord(doc), obs);
+  out = engine_.evaluate(obs);
 }
 
-void Identifier::validateLean(const Candidate& candidate, ValidationMode mode,
+void Identifier::validateLean(std::uint32_t doc, ValidationMode mode,
                               fingerprint::EvalScratch& scratch,
                               std::vector<fingerprint::Match>& out) const {
   if (mode == ValidationMode::kActive) {
-    engine_.probeInto(*world_, candidate.ip, candidate.port, scratch, out);
+    const auto surface = index_->surface(doc);
+    engine_.probeInto(*world_, surface.ip, surface.port, scratch, out);
     return;
   }
-  if (candidate.record != nullptr) {
-    observationInto(*candidate.record, scratch.observation);
-  } else {
-    auto fetched = sharded_->fetchRecord(candidate.doc);
-    scratch.observation.ip = fetched.ip;
-    scratch.observation.port = fetched.port;
-    scratch.observation.statusCode = fetched.statusCode;
-    scratch.observation.headers = std::move(fetched.headers);
-    scratch.observation.body = std::move(fetched.body);
-    scratch.observation.title = std::move(fetched.title);
-  }
+  observationInto(index_->fetchRecord(doc), scratch.observation);
   engine_.evaluateInto(scratch.observation, scratch.view, out);
 }
 
 Identifier::ValidationWave Identifier::validateWave(
-    const std::vector<std::vector<Candidate>>& perProduct,
+    const std::vector<std::vector<std::uint32_t>>& perProduct,
     ValidationMode mode) const {
   ValidationWave wave;
   wave.slot.resize(perProduct.size());
@@ -181,24 +113,19 @@ Identifier::ValidationWave Identifier::validateWave(
   }
 
   // Fast path. Validation depends only on the candidate surface, never on
-  // the product whose keywords located it, so each distinct candidate
-  // (record pointer / doc id identity) is validated exactly once and its
+  // the product whose keywords located it, so each distinct candidate doc
+  // is validated exactly once and its
   // verdict shared across products. Jobs run in chunked waves; each chunk
   // reuses one scratch observation, so steady-state validation allocates
   // only for evidence on actual hits.
-  std::unordered_map<std::uint64_t, std::size_t> slotOf;
-  std::vector<const Candidate*> distinct;
+  std::unordered_map<std::uint32_t, std::size_t> slotOf;
+  std::vector<std::uint32_t> distinct;
   for (std::size_t p = 0; p < perProduct.size(); ++p) {
     wave.slot[p].resize(perProduct[p].size());
     for (std::size_t i = 0; i < perProduct[p].size(); ++i) {
-      const auto& candidate = perProduct[p][i];
-      const std::uint64_t key =
-          candidate.record != nullptr
-              ? static_cast<std::uint64_t>(
-                    reinterpret_cast<std::uintptr_t>(candidate.record))
-              : candidate.doc;
-      const auto [it, inserted] = slotOf.emplace(key, distinct.size());
-      if (inserted) distinct.push_back(&candidate);
+      const auto doc = perProduct[p][i];
+      const auto [it, inserted] = slotOf.emplace(doc, distinct.size());
+      if (inserted) distinct.push_back(doc);
       wave.slot[p][i] = it->second;
     }
   }
@@ -209,21 +136,21 @@ Identifier::ValidationWave Identifier::validateWave(
       [&](std::size_t begin, std::size_t end) {
         fingerprint::EvalScratch scratch;
         for (std::size_t k = begin; k < end; ++k)
-          validateLean(*distinct[k], mode, scratch, wave.results[k]);
+          validateLean(distinct[k], mode, scratch, wave.results[k]);
       },
       config_.threads, 8);
   return wave;
 }
 
 std::vector<Installation> Identifier::selectInstallations(
-    ProductKind product, const std::vector<Candidate>& candidates,
+    ProductKind product, const std::vector<std::uint32_t>& candidates,
     const std::vector<std::vector<fingerprint::Match>>& results,
     const std::vector<std::size_t>& slot) const {
   std::vector<Installation> out;
   std::set<std::uint32_t> seenIps;
 
   for (std::size_t i = 0; i < candidates.size(); ++i) {
-    const auto& candidate = candidates[i];
+    const auto surface = index_->surface(candidates[i]);
     const auto& matches = results[slot[i]];
     // One installation per IP: validate each scanned port but report the IP
     // once, keeping the strongest validation.
@@ -232,16 +159,16 @@ std::vector<Installation> Identifier::selectInstallations(
           return m.product == product && m.certainty >= config_.minCertainty;
         });
     if (hit == matches.end()) continue;
-    if (!seenIps.insert(candidate.ip.value()).second) continue;
+    if (!seenIps.insert(surface.ip.value()).second) continue;
 
     Installation inst;
     inst.product = product;
-    inst.ip = candidate.ip;
-    inst.port = candidate.port;
+    inst.ip = surface.ip;
+    inst.port = surface.port;
     inst.certainty = hit->certainty;
     inst.evidence = hit->evidence;
-    inst.countryAlpha2 = geo_.lookup(candidate.ip).value_or("??");
-    inst.asn = whois_.lookup(candidate.ip);
+    inst.countryAlpha2 = geo_.lookup(surface.ip).value_or("??");
+    inst.asn = whois_.lookup(surface.ip);
     out.push_back(std::move(inst));
   }
   return out;
@@ -249,8 +176,8 @@ std::vector<Installation> Identifier::selectInstallations(
 
 std::vector<Installation> Identifier::identifyWith(ProductKind product,
                                                    ValidationMode mode) const {
-  std::vector<std::vector<Candidate>> perProduct(1);
-  perProduct[0] = locate(product);
+  std::vector<std::vector<std::uint32_t>> perProduct(1);
+  perProduct[0] = locateCandidates(product);
   const auto wave = validateWave(perProduct, mode);
   return selectInstallations(product, perProduct[0], wave.results,
                              wave.slot[0]);
@@ -264,9 +191,9 @@ std::map<ProductKind, std::vector<Installation>> Identifier::identifyAllWith(
   // validate the flattened candidate set in one wave — wider than four
   // sequential per-product fan-outs, and deduplicated across products on
   // the fast path.
-  std::vector<std::vector<Candidate>> candidates(products.size());
+  std::vector<std::vector<std::uint32_t>> candidates(products.size());
   for (std::size_t p = 0; p < products.size(); ++p)
-    candidates[p] = locate(products[p]);
+    candidates[p] = locateCandidates(products[p]);
 
   const auto wave = validateWave(candidates, mode);
 
@@ -282,24 +209,24 @@ std::map<ProductKind, std::vector<Installation>> Identifier::identifyAllCached(
     ValidationCache& cache, const SurfaceEpochFn& surfaceEpoch) const {
   const auto& products = filters::allProducts();
 
-  std::vector<std::vector<Candidate>> candidates(products.size());
+  std::vector<std::vector<std::uint32_t>> candidates(products.size());
   for (std::size_t p = 0; p < products.size(); ++p)
-    candidates[p] = locate(products[p]);
+    candidates[p] = locateCandidates(products[p]);
 
   // Dedup across products by surface identity — validation is a pure
   // function of (ip, port) content in active mode, so the cache key and the
   // dedup key coincide.
   std::unordered_map<std::uint64_t, std::size_t> slotOf;
-  std::vector<const Candidate*> distinct;
+  std::vector<std::uint32_t> distinct;
   std::vector<std::vector<std::size_t>> slot(products.size());
   for (std::size_t p = 0; p < products.size(); ++p) {
     slot[p].resize(candidates[p].size());
     for (std::size_t i = 0; i < candidates[p].size(); ++i) {
-      const auto& candidate = candidates[p][i];
+      const auto surface = index_->surface(candidates[p][i]);
       const std::uint64_t key =
-          (std::uint64_t{candidate.ip.value()} << 16) | candidate.port;
+          (std::uint64_t{surface.ip.value()} << 16) | surface.port;
       const auto [it, inserted] = slotOf.emplace(key, distinct.size());
-      if (inserted) distinct.push_back(&candidate);
+      if (inserted) distinct.push_back(candidates[p][i]);
       slot[p][i] = it->second;
     }
   }
@@ -308,9 +235,9 @@ std::map<ProductKind, std::vector<Installation>> Identifier::identifyAllCached(
   std::vector<std::uint64_t> epochs(distinct.size());
   std::vector<std::size_t> misses;
   for (std::size_t k = 0; k < distinct.size(); ++k) {
-    const auto& candidate = *distinct[k];
-    epochs[k] = surfaceEpoch(candidate.ip, candidate.port);
-    const auto* entry = cache.find(candidate.ip, candidate.port);
+    const auto surface = index_->surface(distinct[k]);
+    epochs[k] = surfaceEpoch(surface.ip, surface.port);
+    const auto* entry = cache.find(surface.ip, surface.port);
     if (entry != nullptr && entry->epoch == epochs[k]) {
       results[k] = entry->matches;
       cache.tallyHit();
@@ -324,7 +251,7 @@ std::map<ProductKind, std::vector<Installation>> Identifier::identifyAllCached(
   // writes are per-index, so output is byte-identical at any thread count.
   if (config_.threads == 1) {
     for (const auto k : misses)
-      validateReference(*distinct[k], ValidationMode::kActive, results[k]);
+      validateReference(distinct[k], ValidationMode::kActive, results[k]);
   } else {
     util::parallelForChunks(
         misses.size(),
@@ -332,14 +259,16 @@ std::map<ProductKind, std::vector<Installation>> Identifier::identifyAllCached(
           fingerprint::EvalScratch scratch;
           for (std::size_t j = begin; j < end; ++j) {
             const auto k = misses[j];
-            validateLean(*distinct[k], ValidationMode::kActive, scratch,
+            validateLean(distinct[k], ValidationMode::kActive, scratch,
                          results[k]);
           }
         },
         config_.threads, 8);
   }
-  for (const auto k : misses)
-    cache.store(distinct[k]->ip, distinct[k]->port, epochs[k], results[k]);
+  for (const auto k : misses) {
+    const auto surface = index_->surface(distinct[k]);
+    cache.store(surface.ip, surface.port, epochs[k], results[k]);
+  }
 
   std::map<ProductKind, std::vector<Installation>> out;
   for (std::size_t p = 0; p < products.size(); ++p)

@@ -52,11 +52,10 @@ struct IdentifierConfig {
 /// The pipeline deliberately over-collects at step 1 ("we are not
 /// conservative, and rely on the following step to confirm", §3.1).
 ///
-/// Works over either banner source: the monolithic BannerIndex (records
-/// resident) or the ShardedBannerIndex (compressed postings only; passive
-/// validation re-fetches banners through the index's RecordFetcher). Active
-/// probes go through World::probeExternal, so streamed hosts that were never
-/// bound still answer.
+/// Candidates are doc ids of a scan::ShardedBannerIndex. Passive validation
+/// reads banners through the index's RecordFetcher; active probes go through
+/// World::probeExternal, so streamed hosts that were never bound still
+/// answer.
 ///
 /// Validation is a function of the candidate surface alone, never of the
 /// product whose keywords located it — so the fast path validates each
@@ -64,12 +63,7 @@ struct IdentifierConfig {
 /// chunked waves with per-chunk scratch buffers (see IdentifierConfig).
 class Identifier {
  public:
-  Identifier(simnet::World& world, const scan::BannerIndex& index,
-             fingerprint::Engine engine, geo::GeoDatabase geo,
-             geo::AsnDatabase whois, IdentifierConfig config = {});
-
-  /// Sharded source: candidates are doc ids. Passive validation and
-  /// candidate fetches require the index to have a RecordFetcher attached.
+  /// Passive validation requires the index to have a RecordFetcher.
   Identifier(simnet::World& world, const scan::ShardedBannerIndex& index,
              fingerprint::Engine engine, geo::GeoDatabase geo,
              geo::AsnDatabase whois, IdentifierConfig config = {});
@@ -157,28 +151,14 @@ class Identifier {
   countriesByProduct(
       const std::map<filters::ProductKind, std::vector<Installation>>& all);
 
-  /// Candidates located by keyword search (before validation) — exposed so
-  /// precision/recall of the validation step can be evaluated. Monolithic
-  /// source only; throws std::logic_error on a sharded source.
-  [[nodiscard]] std::vector<const scan::BannerRecord*> locateCandidates(
-      filters::ProductKind product) const;
-
-  /// Sharded-source counterpart of locateCandidates: candidate doc ids in
-  /// first-match order. Throws std::logic_error on a monolithic source.
-  [[nodiscard]] std::vector<std::uint32_t> locateCandidateDocs(
+  /// Candidate doc ids located by keyword search (before validation), in
+  /// first-match order — exposed so precision/recall of the validation step
+  /// can be evaluated.
+  [[nodiscard]] std::vector<std::uint32_t> locateCandidates(
       filters::ProductKind product) const;
 
  private:
   enum class ValidationMode { kActive, kPassive };
-
-  /// One located candidate, source-agnostic: the surface plus its identity
-  /// in the backing index (record pointer or doc id).
-  struct Candidate {
-    net::Ipv4Addr ip;
-    std::uint16_t port = 80;
-    const scan::BannerRecord* record = nullptr;  ///< monolithic source
-    std::uint32_t doc = 0;                       ///< sharded source
-  };
 
   /// One validation wave over every product's candidate list: results for
   /// each validated job, and per (product, candidate) the slot holding its
@@ -190,20 +170,17 @@ class Identifier {
 
   [[nodiscard]] std::vector<scan::Query> productQueries(
       filters::ProductKind product) const;
-  [[nodiscard]] std::vector<Candidate> locate(
-      filters::ProductKind product) const;
-
   /// Reference validation: the allocating entry points, one candidate.
-  void validateReference(const Candidate& candidate, ValidationMode mode,
+  void validateReference(std::uint32_t doc, ValidationMode mode,
                          std::vector<fingerprint::Match>& out) const;
   /// Allocation-lean validation through reused scratch buffers; results are
   /// identical to validateReference.
-  void validateLean(const Candidate& candidate, ValidationMode mode,
+  void validateLean(std::uint32_t doc, ValidationMode mode,
                     fingerprint::EvalScratch& scratch,
                     std::vector<fingerprint::Match>& out) const;
 
   [[nodiscard]] ValidationWave validateWave(
-      const std::vector<std::vector<Candidate>>& perProduct,
+      const std::vector<std::vector<std::uint32_t>>& perProduct,
       ValidationMode mode) const;
 
   [[nodiscard]] std::vector<Installation> identifyWith(
@@ -214,13 +191,13 @@ class Identifier {
   /// The sequential selection pass shared by all identify flavours; matches
   /// for candidates[i] live in results[slot[i]].
   [[nodiscard]] std::vector<Installation> selectInstallations(
-      filters::ProductKind product, const std::vector<Candidate>& candidates,
+      filters::ProductKind product,
+      const std::vector<std::uint32_t>& candidates,
       const std::vector<std::vector<fingerprint::Match>>& results,
       const std::vector<std::size_t>& slot) const;
 
   simnet::World* world_;
-  const scan::BannerIndex* index_ = nullptr;
-  const scan::ShardedBannerIndex* sharded_ = nullptr;
+  const scan::ShardedBannerIndex* index_;
   fingerprint::Engine engine_;
   geo::GeoDatabase geo_;
   geo::AsnDatabase whois_;

@@ -1,6 +1,7 @@
 #include "http/wire.h"
 
 #include <cctype>
+#include <limits>
 
 #include "util/strings.h"
 
@@ -41,6 +42,20 @@ std::optional<int> parseStatusCode(std::string_view s) {
     code = code * 10 + (c - '0');
   }
   return code;
+}
+
+/// A Content-Length value: one or more digits that fit a size_t.
+std::optional<std::size_t> parseContentLength(std::string_view value) {
+  if (value.empty()) return std::nullopt;
+  std::size_t n = 0;
+  for (const char c : value) {
+    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
+    const auto digit = static_cast<std::size_t>(c - '0');
+    if (n > (std::numeric_limits<std::size_t>::max() - digit) / 10)
+      return std::nullopt;
+    n = n * 10 + digit;
+  }
+  return n;
 }
 
 }  // namespace
@@ -109,14 +124,14 @@ std::optional<Response> parseResponse(std::string_view wire) {
                     ? std::string(reasonPhrase(*code))
                     : std::string(statusLine.substr(sp2 + 1));
   resp.headers = std::move(block->headers);
-  if (const auto len = resp.headers.get("Content-Length")) {
-    std::size_t n = 0;
-    for (char c : *len) {
-      if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-      n = n * 10 + static_cast<std::size_t>(c - '0');
-    }
-    if (n > block->rest.size()) return std::nullopt;  // truncated
-    resp.body = std::string(block->rest.substr(0, n));
+  if (const auto lengths = resp.headers.getAll("Content-Length");
+      !lengths.empty()) {
+    const auto n = parseContentLength(lengths.front());
+    if (!n) return std::nullopt;
+    for (const auto other : lengths)  // conflicting lengths: unframeable
+      if (parseContentLength(other) != n) return std::nullopt;
+    if (*n > block->rest.size()) return std::nullopt;  // truncated
+    resp.body = std::string(block->rest.substr(0, *n));
   } else {
     resp.body = std::string(block->rest);  // connection-close framing
   }
@@ -165,8 +180,8 @@ Frame messageFrame(std::string_view buffer) {
     return {Frame::State::kIncomplete, 0};
 
   // Scan the header block for Content-Length (case-insensitive name match,
-  // same tolerance as HeaderMap).
-  std::size_t bodyLen = 0;
+  // same tolerance as HeaderMap). Repeats must agree.
+  std::optional<std::size_t> bodyLen;
   std::string_view block = buffer.substr(eol + 2, headerEnd - eol);
   while (!block.empty()) {
     const std::size_t lineEnd = block.find("\r\n");
@@ -176,21 +191,20 @@ Frame messageFrame(std::string_view buffer) {
     if (colon != std::string_view::npos) {
       const std::string_view name = util::trim(line.substr(0, colon));
       if (util::toLower(std::string(name)) == "content-length") {
-        const std::string_view value = util::trim(line.substr(colon + 1));
-        if (value.empty()) return {Frame::State::kBad, 0};
-        bodyLen = 0;
-        for (const char c : value) {
-          if (!std::isdigit(static_cast<unsigned char>(c)))
-            return {Frame::State::kBad, 0};
-          bodyLen = bodyLen * 10 + static_cast<std::size_t>(c - '0');
-        }
+        const auto n = parseContentLength(util::trim(line.substr(colon + 1)));
+        if (!n || (bodyLen && *bodyLen != *n)) return {Frame::State::kBad, 0};
+        bodyLen = n;
       }
     }
     if (lineEnd == std::string_view::npos) break;
     block.remove_prefix(lineEnd + 2);
   }
 
-  const std::size_t total = headerEnd + 4 + bodyLen;
+  const std::size_t headerSize = headerEnd + 4;
+  if (bodyLen.value_or(0) >
+      std::numeric_limits<std::size_t>::max() - headerSize)
+    return {Frame::State::kBad, 0};
+  const std::size_t total = headerSize + bodyLen.value_or(0);
   if (buffer.size() < total) return {Frame::State::kIncomplete, 0};
   return {Frame::State::kComplete, total};
 }

@@ -137,18 +137,26 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
-/// Recursive-descent JSON parser.
+/// Recursive-descent JSON parser. Arrays and objects nest at most
+/// Json::kMaxDepth levels, so hostile input cannot exhaust the stack.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  std::optional<Json> run() {
+  std::optional<Json> run(std::string* error) {
     skipWhitespace();
     auto value = parseValue();
-    if (!value) return std::nullopt;
-    skipWhitespace();
-    if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
-    return value;
+    if (value) {
+      skipWhitespace();
+      if (pos_ == text_.size()) return value;
+      value.reset();  // trailing garbage
+    }
+    if (error != nullptr)
+      *error = (tooDeep_ ? "JSON nesting deeper than " +
+                               std::to_string(Json::kMaxDepth) + " levels"
+                         : std::string("invalid JSON")) +
+               " at offset " + std::to_string(pos_);
+    return std::nullopt;
   }
 
  private:
@@ -196,7 +204,31 @@ class Parser {
     }
   }
 
+  /// Enter one array/object level; false (and no descent) past the limit.
+  bool descend() {
+    if (depth_ == Json::kMaxDepth) {
+      tooDeep_ = true;
+      return false;
+    }
+    ++depth_;
+    return true;
+  }
+
   std::optional<Json> parseObject() {
+    if (!descend()) return std::nullopt;
+    auto out = parseObjectBody();
+    --depth_;
+    return out;
+  }
+
+  std::optional<Json> parseArray() {
+    if (!descend()) return std::nullopt;
+    auto out = parseArrayBody();
+    --depth_;
+    return out;
+  }
+
+  std::optional<Json> parseObjectBody() {
     if (!consume('{')) return std::nullopt;
     Json out = Json::object();
     skipWhitespace();
@@ -218,7 +250,7 @@ class Parser {
     }
   }
 
-  std::optional<Json> parseArray() {
+  std::optional<Json> parseArrayBody() {
     if (!consume('[')) return std::nullopt;
     Json out = Json::array();
     skipWhitespace();
@@ -308,12 +340,14 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;
+  bool tooDeep_ = false;
 };
 
 }  // namespace
 
-std::optional<Json> Json::parse(std::string_view text) {
-  return Parser(text).run();
+std::optional<Json> Json::parse(std::string_view text, std::string* error) {
+  return Parser(text).run(error);
 }
 
 }  // namespace urlf::report

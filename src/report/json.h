@@ -1,6 +1,7 @@
 #ifndef URLF_REPORT_JSON_H
 #define URLF_REPORT_JSON_H
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -73,10 +74,18 @@ class Json {
   /// Serialize. `indent` > 0 pretty-prints with that many spaces per level.
   [[nodiscard]] std::string dump(int indent = 0) const;
 
-  /// Parse a JSON document. Returns nullopt on any syntax error or
-  /// trailing garbage. Supports the standard scalar types, arrays, objects,
-  /// and \uXXXX escapes for the BMP (encoded as UTF-8).
-  [[nodiscard]] static std::optional<Json> parse(std::string_view text);
+  /// Deepest array/object nesting parse() accepts. The deepest document the
+  /// program itself writes nests 4 levels (identify, profile, session and
+  /// scan dumps); deeper input is rejected instead of recursing on.
+  static constexpr std::size_t kMaxDepth = 64;
+
+  /// Parse a JSON document. Returns nullopt on any syntax error, trailing
+  /// garbage, or nesting deeper than kMaxDepth; `error`, when given, then
+  /// receives a one-line reason with the byte offset. Supports the standard
+  /// scalar types, arrays, objects, and \uXXXX escapes for the BMP (encoded
+  /// as UTF-8).
+  [[nodiscard]] static std::optional<Json> parse(std::string_view text,
+                                                 std::string* error = nullptr);
 
   /// Escape a string for embedding in JSON (without the quotes).
   [[nodiscard]] static std::string escape(std::string_view text);

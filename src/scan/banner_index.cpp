@@ -4,6 +4,7 @@
 #include <set>
 #include <stdexcept>
 #include <string_view>
+#include <unordered_map>
 
 #include "http/html.h"
 #include "simnet/world_stream.h"
@@ -11,24 +12,6 @@
 #include "util/thread_pool.h"
 
 namespace urlf::scan {
-
-BannerRecord probeEndpoint(simnet::HttpEndpoint& endpoint, net::Ipv4Addr ip,
-                           std::uint16_t port, const geo::GeoDatabase& geo,
-                           util::SimTime now, std::size_t bodySnippetLimit) {
-  net::Url url{"http", ip.toString(), port, "/", ""};
-  const auto response = endpoint.handle(http::Request::get(url), now);
-
-  BannerRecord record;
-  record.ip = ip;
-  record.port = port;
-  record.statusCode = response.statusCode;
-  record.headers = response.headers;
-  record.body = response.body.substr(0, bodySnippetLimit);
-  record.title = http::extractTitle(response.body);
-  record.countryAlpha2 = geo.lookup(ip).value_or("");
-  record.observedAt = now;
-  return record;
-}
 
 void probeEndpointInto(simnet::HttpEndpoint& endpoint, net::Ipv4Addr ip,
                        std::uint16_t port, const geo::GeoDatabase& geo,
@@ -65,6 +48,17 @@ std::vector<std::uint32_t> intersectSorted(
   return out;
 }
 
+/// Probe one streamed host into `out` (the host function is pure, so this
+/// is also the re-probe a fetch performs).
+void probeStreamedInto(const simnet::WorldStream& stream, std::uint64_t id,
+                       const geo::GeoDatabase& geo, util::SimTime now,
+                       std::size_t bodySnippetLimit, BannerRecord& out) {
+  const auto host = stream.host(id);
+  const auto server = simnet::WorldStream::materializeEndpoint(host);
+  probeEndpointInto(*server, host.ip, host.port, geo, now, bodySnippetLimit,
+                    out);
+}
+
 }  // namespace
 
 void BannerRecord::appendSearchableText(std::string& out) const {
@@ -83,323 +77,48 @@ std::string BannerRecord::searchableText() const {
   return text;
 }
 
-const std::string& BannerRecord::searchableTextLower() const {
-  if (!searchLowerReady_) {
-    searchLower_ = util::toLower(searchableText());
-    searchLowerReady_ = true;
-  }
-  return searchLower_;
-}
-
-void BannerRecord::primeSearchText(std::string& scratch) const {
-  if (searchLowerReady_) return;
-  scratch.clear();
-  appendSearchableText(scratch);
-  util::toLowerInto(scratch, searchLower_);
-  searchLowerReady_ = true;
-}
-
-void BannerIndex::crawl(simnet::World& world, const geo::GeoDatabase& geo,
-                        std::size_t bodySnippetLimit,
-                        std::size_t threadLimit) {
-  const auto surfaces = world.externalSurfaces();
-  const auto now = world.now();
-
-  records_.clear();
-  postings_.clear();
-  countryBuckets_.clear();
-  records_.resize(surfaces.size());
-
-  if (threadLimit == 1) {
-    // Reference serial crawl: one probe at a time, copying response storage.
-    for (std::size_t i = 0; i < surfaces.size(); ++i) {
-      const auto& surface = surfaces[i];
-      records_[i] = probeEndpoint(*surface.endpoint, surface.ip, surface.port,
-                                  geo, now, bodySnippetLimit);
-      records_[i].primeSearchText();
-    }
-  } else {
-    // Fast path: chunked dispatch over the surfaces. Each chunk moves
-    // response storage into its slot and primes the lowered-text cache
-    // through one reused staging buffer. Every probe writes only its own
-    // slot, so the records land in binding order — byte-identical to the
-    // serial crawl.
-    util::parallelForChunks(
-        surfaces.size(),
-        [&](std::size_t begin, std::size_t end) {
-          std::string scratch;
-          for (std::size_t i = begin; i < end; ++i) {
-            const auto& surface = surfaces[i];
-            probeEndpointInto(*surface.endpoint, surface.ip, surface.port, geo,
-                              now, bodySnippetLimit, records_[i]);
-            records_[i].primeSearchText(scratch);
-          }
-        },
-        threadLimit, 64);
-  }
-
-  if (threadLimit == 1)
-    indexRange(0);
-  else
-    indexRangeLean(0);
-}
-
-BannerIndex BannerIndex::fromRecords(std::vector<BannerRecord> records) {
-  BannerIndex index;
-  index.addRecords(std::move(records));
-  return index;
-}
-
-void BannerIndex::addRecords(std::vector<BannerRecord> records) {
-  const std::size_t begin = records_.size();
-  records_.insert(records_.end(), std::make_move_iterator(records.begin()),
-                  std::make_move_iterator(records.end()));
-  util::parallelForChunks(records_.size() - begin,
-                          [&](std::size_t lo, std::size_t hi) {
-                            std::string scratch;
-                            for (std::size_t i = lo; i < hi; ++i)
-                              records_[begin + i].primeSearchText(scratch);
-                          });
-  indexRangeLean(begin);
-}
-
-void BannerIndex::indexRange(std::size_t begin) {
+ShardParts indexShard(std::string label, std::uint32_t docBase,
+                      std::span<const BannerRecord> records) {
   // Ids are appended in ascending order, so every posting list and country
-  // bucket stays sorted and unique without a final sort pass. The token
-  // scratch and the transparent map lookups keep the loop from allocating
-  // per (record, token).
-  std::vector<std::string_view> tokens;
-  for (std::size_t id = begin; id < records_.size(); ++id) {
-    const auto& record = records_[id];
-    tokens.clear();
-    tokenizeAlnum(record.searchableTextLower(), tokens);
-    std::sort(tokens.begin(), tokens.end());
-    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-    for (const auto token : tokens) {
-      auto it = postings_.find(token);
-      if (it == postings_.end())
-        it = postings_.emplace(std::string(token), std::vector<std::uint32_t>{})
-                 .first;
-      it->second.push_back(static_cast<std::uint32_t>(id));
-    }
-    countryBuckets_[util::toUpper(record.countryAlpha2)].push_back(
-        static_cast<std::uint32_t>(id));
+  // bucket stays sorted and unique without a final sort pass; the two
+  // staging strings are reused across records.
+  ShardParts parts;
+  parts.ips.reserve(records.size());
+  parts.ports.reserve(records.size());
+  PostingShard::Builder builder(std::move(label), docBase);
+  std::string text;
+  std::string lowered;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& record = records[i];
+    text.clear();
+    record.appendSearchableText(text);
+    util::toLowerInto(text, lowered);
+    builder.addDocument(lowered);
+    parts.ips.push_back(record.ip.value());
+    parts.ports.push_back(record.port);
+    parts.countryDocs[util::toUpper(record.countryAlpha2)].push_back(
+        docBase + static_cast<std::uint32_t>(i));
   }
-}
-
-void BannerIndex::indexRangeLean(std::size_t begin) {
-  // Same output as indexRange, without the per-record sort+unique: ids only
-  // ever append in ascending order, so a repeated token inside one record is
-  // exactly the case where its list already ends in this id. The occasional
-  // extra map probe for a repeated token costs less than sorting every
-  // record's token views.
-  std::vector<std::string_view> tokens;
-  for (std::size_t id = begin; id < records_.size(); ++id) {
-    const auto& record = records_[id];
-    const auto doc = static_cast<std::uint32_t>(id);
-    tokens.clear();
-    tokenizeAlnum(record.searchableTextLower(), tokens);
-    for (const auto token : tokens) {
-      auto it = postings_.find(token);
-      if (it == postings_.end())
-        it = postings_.emplace(std::string(token), std::vector<std::uint32_t>{})
-                 .first;
-      auto& ids = it->second;
-      if (ids.empty() || ids.back() != doc) ids.push_back(doc);
-    }
-    countryBuckets_[util::toUpper(record.countryAlpha2)].push_back(doc);
-  }
-}
-
-std::vector<std::uint32_t> BannerIndex::keywordCandidates(
-    const std::string& loweredKeyword) const {
-  std::vector<std::string_view> keywordTokens;
-  tokenizeAlnum(loweredKeyword, keywordTokens);
-
-  std::vector<std::uint32_t> candidates;
-  if (keywordTokens.empty()) {
-    // No alphanumeric core (e.g. "=", whitespace, empty): substring-scan the
-    // cached lowered text. An empty keyword matches every record, as the
-    // reference `icontains` does.
-    for (std::size_t id = 0; id < records_.size(); ++id) {
-      if (records_[id].searchableTextLower().find(loweredKeyword) !=
-          std::string::npos)
-        candidates.push_back(static_cast<std::uint32_t>(id));
-    }
-    return candidates;
-  }
-
-  // Pre-filter on the keyword's longest token: any banner containing the
-  // keyword must contain that token inside one of its own tokens, so the
-  // union of posting lists over vocabulary tokens containing it is a
-  // superset of the exact match set.
-  const std::string_view longest = *std::max_element(
-      keywordTokens.begin(), keywordTokens.end(),
-      [](std::string_view a, std::string_view b) { return a.size() < b.size(); });
-  for (const auto& [token, ids] : postings_) {
-    if (token.find(longest) == std::string::npos) continue;
-    candidates.insert(candidates.end(), ids.begin(), ids.end());
-  }
-  mergeSortedUnique(candidates);
-
-  // A keyword that *is* its longest token (no separators) is exact already;
-  // anything else ("cfru=", "mcafee web gateway", "8080/webadmin/") is
-  // verified against the cached lowered text.
-  if (loweredKeyword == longest) return candidates;
-  std::vector<std::uint32_t> verified;
-  verified.reserve(candidates.size());
-  for (const auto id : candidates) {
-    if (records_[id].searchableTextLower().find(loweredKeyword) !=
-        std::string::npos)
-      verified.push_back(id);
-  }
-  return verified;
-}
-
-std::vector<const BannerRecord*> BannerIndex::searchIndexed(
-    const Query& query) const {
-  std::vector<std::uint32_t> ids = keywordCandidates(util::toLower(query.keyword));
-  if (query.countryAlpha2) {
-    const auto bucket = countryBuckets_.find(util::toUpper(*query.countryAlpha2));
-    if (bucket == countryBuckets_.end()) return {};
-    ids = intersectSorted(ids, bucket->second);
-  }
-  std::vector<const BannerRecord*> out;
-  out.reserve(ids.size());
-  for (const auto id : ids) out.push_back(&records_[id]);
-  return out;
-}
-
-std::vector<const BannerRecord*> BannerIndex::searchReference(
-    const Query& query) const {
-  const std::string loweredKeyword = util::toLower(query.keyword);
-  std::vector<const BannerRecord*> out;
-  for (const auto& record : records_) {
-    if (query.countryAlpha2 &&
-        !util::iequals(record.countryAlpha2, *query.countryAlpha2))
-      continue;
-    if (record.searchableTextLower().find(loweredKeyword) == std::string::npos)
-      continue;
-    out.push_back(&record);
-  }
-  return out;
-}
-
-std::vector<const BannerRecord*> BannerIndex::search(const Query& query) const {
-  return mode_ == SearchMode::kIndexed ? searchIndexed(query)
-                                       : searchReference(query);
-}
-
-std::vector<const BannerRecord*> BannerIndex::searchAll(
-    const std::vector<Query>& queries) const {
-  std::vector<std::vector<const BannerRecord*>> perQuery(queries.size());
-
-  if (mode_ == SearchMode::kIndexed) {
-    // The §3.1 fan-out repeats the same few keywords across every country
-    // facet; resolve each distinct keyword once, in parallel, then apply
-    // the country restriction per query.
-    std::vector<std::string> keywords;
-    std::unordered_map<std::string, std::size_t> keywordSlot;
-    std::vector<std::size_t> querySlot(queries.size());
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const std::string lowered = util::toLower(queries[q].keyword);
-      const auto [it, inserted] = keywordSlot.emplace(lowered, keywords.size());
-      if (inserted) keywords.push_back(lowered);
-      querySlot[q] = it->second;
-    }
-
-    std::vector<std::vector<std::uint32_t>> perKeyword(keywords.size());
-    util::parallelFor(keywords.size(), [&](std::size_t k) {
-      perKeyword[k] = keywordCandidates(keywords[k]);
-    });
-
-    // Partition each keyword's candidates by record country in one pass.
-    // The fan-out asks for the same keyword under every country facet, so
-    // answering those from the partition replaces one sorted intersection
-    // per (keyword, country) pair with a single walk per keyword; each
-    // partition bucket is ascending because the candidate list is.
-    std::vector<std::unordered_map<std::string, std::vector<std::uint32_t>>>
-        byCountry(keywords.size());
-    for (std::size_t k = 0; k < keywords.size(); ++k)
-      for (const auto id : perKeyword[k])
-        byCountry[k][util::toUpper(records_[id].countryAlpha2)].push_back(id);
-
-    static const std::vector<std::uint32_t> kNoIds;
-    for (std::size_t q = 0; q < queries.size(); ++q) {
-      const std::vector<std::uint32_t>* ids = &perKeyword[querySlot[q]];
-      if (queries[q].countryAlpha2) {
-        const auto& partition = byCountry[querySlot[q]];
-        const auto bucket =
-            partition.find(util::toUpper(*queries[q].countryAlpha2));
-        ids = bucket == partition.end() ? &kNoIds : &bucket->second;
-      }
-      perQuery[q].reserve(ids->size());
-      for (const auto id : *ids) perQuery[q].push_back(&records_[id]);
-    }
-  } else {
-    for (std::size_t q = 0; q < queries.size(); ++q)
-      perQuery[q] = searchReference(queries[q]);
-  }
-
-  // Sequential merge in query order keeps the output identical across
-  // modes and thread counts.
-  std::vector<const BannerRecord*> out;
-  std::set<std::uint64_t> seen;
-  for (const auto& hits : perQuery) {
-    for (const auto* record : hits) {
-      const std::uint64_t key =
-          (std::uint64_t{record->ip.value()} << 16) | record->port;
-      if (seen.insert(key).second) out.push_back(record);
-    }
-  }
-  return out;
+  parts.shard = std::move(builder).finish();
+  return parts;
 }
 
 // --- ShardedBannerIndex -----------------------------------------------------
 
-void ShardedBannerIndex::beginShard(std::string label) {
-  if (openShard_) throw std::logic_error("beginShard: shard already open");
-  openShard_ = std::make_unique<PostingShard::Builder>(
-      std::move(label), static_cast<std::uint32_t>(ips_.size()));
-}
-
-void ShardedBannerIndex::addRecord(const BannerRecord& record) {
-  if (!openShard_) throw std::logic_error("addRecord: no open shard");
-  const auto doc = static_cast<std::uint32_t>(ips_.size());
-  textScratch_.clear();
-  record.appendSearchableText(textScratch_);
-  util::toLowerInto(textScratch_, loweredScratch_);
-  openShard_->addDocument(loweredScratch_);
-  ips_.push_back(record.ip.value());
-  ports_.push_back(record.port);
-  countryBuckets_[util::toUpper(record.countryAlpha2)].append(doc);
-}
-
-void ShardedBannerIndex::endShard() {
-  if (!openShard_) throw std::logic_error("endShard: no open shard");
-  shards_.push_back(std::move(*openShard_).finish());
-  openShard_.reset();
-}
-
-ShardedBannerIndex ShardedBannerIndex::fromIndex(const BannerIndex& index,
-                                                 std::size_t shardTargetDocs) {
-  if (shardTargetDocs == 0) shardTargetDocs = 1;
-  ShardedBannerIndex out;
-  const auto& records = index.records();
-  for (std::size_t begin = 0; begin < records.size();
-       begin += shardTargetDocs) {
-    const std::size_t end = std::min(records.size(), begin + shardTargetDocs);
-    out.beginShard("mono#" + std::to_string(begin / shardTargetDocs));
-    for (std::size_t i = begin; i < end; ++i) out.addRecord(records[i]);
-    out.endShard();
+void ShardedBannerIndex::appendShard(const ShardParts& parts) {
+  if (parts.shard.docBase() != docCount() ||
+      parts.shard.docCount() != parts.ips.size() ||
+      parts.ips.size() != parts.ports.size())
+    throw std::logic_error("appendShard: shard does not extend the doc range");
+  ips_.insert(ips_.end(), parts.ips.begin(), parts.ips.end());
+  ports_.insert(ports_.end(), parts.ports.begin(), parts.ports.end());
+  // Shards arrive in ascending doc order and each shard's per-country lists
+  // ascend, so appends stay strictly ascending per bucket.
+  for (const auto& [alpha2, docs] : parts.countryDocs) {
+    auto& bucket = countryBuckets_[alpha2];
+    for (const auto doc : docs) bucket.append(doc);
   }
-  if (records.empty()) {
-    out.beginShard("mono#0");
-    out.endShard();
-  }
-  out.setRecordFetcher(
-      [&index](std::uint32_t doc) { return index.records()[doc]; });
-  return out;
+  shards_.push_back(parts.shard);
 }
 
 ShardedBannerIndex ShardedBannerIndex::fromRecords(
@@ -407,22 +126,18 @@ ShardedBannerIndex ShardedBannerIndex::fromRecords(
   if (shardTargetDocs == 0) shardTargetDocs = 1;
   auto retained = std::make_shared<const std::vector<BannerRecord>>(
       std::move(records));
+  const std::span<const BannerRecord> source(*retained);
   ShardedBannerIndex out;
-  const auto& source = *retained;
-  for (std::size_t begin = 0; begin < source.size();
-       begin += shardTargetDocs) {
-    const std::size_t end = std::min(source.size(), begin + shardTargetDocs);
-    out.beginShard("records#" + std::to_string(begin / shardTargetDocs));
-    for (std::size_t i = begin; i < end; ++i) out.addRecord(source[i]);
-    out.endShard();
-  }
-  if (source.empty()) {
-    out.beginShard("records#0");
-    out.endShard();
-  }
-  out.retained_ = retained;
-  out.setRecordFetcher(
-      [retained](std::uint32_t doc) { return (*retained)[doc]; });
+  out.reserveDocs(source.size());
+  std::size_t begin = 0;
+  do {
+    const std::size_t count = std::min(source.size() - begin, shardTargetDocs);
+    out.appendShard(indexShard(
+        "records#" + std::to_string(begin / shardTargetDocs),
+        static_cast<std::uint32_t>(begin), source.subspan(begin, count)));
+    begin += count;
+  } while (begin < source.size());
+  out.setResidentRecords(std::move(retained));
   return out;
 }
 
@@ -454,11 +169,30 @@ ShardedBannerIndex ShardedBannerIndex::fromParts(
 }
 
 BannerRecord ShardedBannerIndex::fetchRecord(std::uint32_t doc) const {
+  if (resident_ != nullptr && doc < resident_->size()) return (*resident_)[doc];
   if (!fetcher_)
     throw std::logic_error(
         "ShardedBannerIndex: record fetch required but no fetcher attached "
         "(separator/no-token keywords and passive identification need one)");
   return fetcher_(doc);
+}
+
+std::vector<BannerRecord> ShardedBannerIndex::fetchAllRecords() const {
+  std::vector<BannerRecord> out;
+  out.reserve(docCount());
+  for (std::uint32_t doc = 0; doc < docCount(); ++doc)
+    out.push_back(fetchRecord(doc));
+  return out;
+}
+
+void ShardedBannerIndex::lowerText(std::uint32_t doc, std::string& text,
+                                   std::string& lowered) const {
+  text.clear();
+  if (resident_ != nullptr && doc < resident_->size())
+    (*resident_)[doc].appendSearchableText(text);
+  else
+    fetchRecord(doc).appendSearchableText(text);
+  util::toLowerInto(text, lowered);
 }
 
 std::vector<std::uint32_t> ShardedBannerIndex::decodeCountryBucket(
@@ -475,33 +209,39 @@ std::vector<std::uint32_t> ShardedBannerIndex::keywordCandidates(
   tokenizeAlnum(loweredKeyword, keywordTokens);
 
   std::vector<std::uint32_t> candidates;
+  std::string text;
+  std::string lowered;
   if (keywordTokens.empty()) {
-    // No alphanumeric core: the banners are not resident, so re-materialize
-    // every document through the fetcher — the correctness path, not the
-    // fast path (product keywords always have tokens).
-    const auto docs = docCount();
-    for (std::uint32_t doc = 0; doc < docs; ++doc) {
-      if (fetchRecord(doc).searchableTextLower().find(loweredKeyword) !=
-          std::string::npos)
+    // No alphanumeric core (e.g. "=", whitespace, empty): substring-scan
+    // every banner — the correctness path, not the fast path (product
+    // keywords always have tokens). An empty keyword matches every document.
+    for (std::uint32_t doc = 0; doc < docCount(); ++doc) {
+      lowerText(doc, text, lowered);
+      if (lowered.find(loweredKeyword) != std::string::npos)
         candidates.push_back(doc);
     }
     return candidates;
   }
 
+  // Pre-filter on the keyword's longest token: any banner containing the
+  // keyword must contain that token inside one of its own tokens, so the
+  // union over every shard of the postings of vocabulary tokens containing
+  // it is a superset of the exact match set.
   const std::string_view longest = *std::max_element(
       keywordTokens.begin(), keywordTokens.end(),
       [](std::string_view a, std::string_view b) { return a.size() < b.size(); });
-  // Shard vocabularies are disjointly scanned; the union across shards is
-  // exactly the monolithic vocabulary pre-filter.
   for (const auto& shard : shards_) shard.appendCandidates(longest, candidates);
   mergeSortedUnique(candidates);
 
+  // A keyword that *is* its longest token (no separators) is exact already;
+  // anything else ("cfru=", "mcafee web gateway", "8080/webadmin/") is
+  // verified against the fetched banner text.
   if (loweredKeyword == longest) return candidates;
   std::vector<std::uint32_t> verified;
   verified.reserve(candidates.size());
   for (const auto doc : candidates) {
-    if (fetchRecord(doc).searchableTextLower().find(loweredKeyword) !=
-        std::string::npos)
+    lowerText(doc, text, lowered);
+    if (lowered.find(loweredKeyword) != std::string::npos)
       verified.push_back(doc);
   }
   return verified;
@@ -520,6 +260,8 @@ std::vector<std::uint32_t> ShardedBannerIndex::search(
 
 std::vector<std::uint32_t> ShardedBannerIndex::searchAll(
     const std::vector<Query>& queries) const {
+  // The §3.1 fan-out repeats the same few keywords across every country
+  // facet; resolve each distinct keyword once, in parallel.
   std::vector<std::string> keywords;
   std::unordered_map<std::string, std::size_t> keywordSlot;
   std::vector<std::size_t> querySlot(queries.size());
@@ -541,9 +283,10 @@ std::vector<std::uint32_t> ShardedBannerIndex::searchAll(
   for (const auto& query : queries) {
     if (!query.countryAlpha2) continue;
     auto key = util::toUpper(*query.countryAlpha2);
-    if (!decoded.contains(key))
-      decoded.emplace(std::move(key), decodeCountryBucket(
-                                          util::toUpper(*query.countryAlpha2)));
+    if (!decoded.contains(key)) {
+      auto bucket = decodeCountryBucket(key);
+      decoded.emplace(std::move(key), std::move(bucket));
+    }
   }
 
   std::vector<std::uint32_t> out;
@@ -585,86 +328,88 @@ std::size_t ShardedBannerIndex::memoryBytes() const {
   return total;
 }
 
-// --- crawlStream ------------------------------------------------------------
+// --- crawling ---------------------------------------------------------------
+
+std::vector<BannerRecord> probeDocs(
+    const simnet::World& world,
+    const std::vector<simnet::Surface>& surfaces,
+    const geo::GeoDatabase& geo, std::uint64_t begin, std::uint64_t end,
+    const StreamCrawlOptions& options) {
+  const auto now = world.now();
+  const auto* stream = world.hostStream();
+  const std::uint64_t eagerCount = surfaces.size();
+  if (end > eagerCount && stream == nullptr)
+    throw std::logic_error("probeDocs: streamed docs but no host stream");
+  std::vector<BannerRecord> batch(static_cast<std::size_t>(end - begin));
+  util::parallelForChunks(
+      batch.size(),
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t i = lo; i < hi; ++i) {
+          const std::uint64_t doc = begin + i;
+          if (doc < eagerCount) {
+            const auto& surface = surfaces[doc];
+            probeEndpointInto(*surface.endpoint, surface.ip, surface.port, geo,
+                              now, options.bodySnippetLimit, batch[i]);
+          } else {
+            probeStreamedInto(*stream, doc - eagerCount, geo, now,
+                              options.bodySnippetLimit, batch[i]);
+          }
+        }
+      },
+      options.threadLimit, 64);
+  return batch;
+}
+
+ShardedBannerIndex::RecordFetcher streamFetcher(const simnet::World& world,
+                                                const geo::GeoDatabase& geo,
+                                                std::uint32_t eagerCount,
+                                                std::size_t bodySnippetLimit) {
+  return [&world, &geo, eagerCount, now = world.now(),
+          bodySnippetLimit](std::uint32_t doc) {
+    const auto* stream = world.hostStream();
+    if (stream == nullptr || doc < eagerCount)
+      throw std::logic_error("stream fetcher: no streamed doc " +
+                             std::to_string(doc));
+    BannerRecord record;
+    probeStreamedInto(*stream, doc - eagerCount, geo, now, bodySnippetLimit,
+                      record);
+    return record;
+  };
+}
 
 ShardedBannerIndex crawlStream(simnet::World& world,
                                const geo::GeoDatabase& geo,
                                StreamCrawlOptions options) {
-  auto surfaces = world.externalSurfaces();
-  const auto now = world.now();
-  const auto* stream = world.hostStream();
+  const auto surfaces = world.externalSurfaces();
   const auto eagerCount = static_cast<std::uint32_t>(surfaces.size());
 
+  // Eagerly bound surfaces lead, in binding order; their records stay
+  // resident as those docs' fetch source.
   ShardedBannerIndex index;
-
-  // Probe a batch of already-materialized work into per-slot records.
-  const auto probeBatch = [&](std::size_t count, const auto& probeOne) {
-    if (options.threadLimit == 1) {
-      for (std::size_t i = 0; i < count; ++i) probeOne(i);
-    } else {
-      util::parallelForChunks(
-          count,
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t i = begin; i < end; ++i) probeOne(i);
-          },
-          options.threadLimit, 64);
-    }
-  };
-
-  // Eagerly bound surfaces lead, in binding order, so doc ids line up with
-  // BannerIndex::crawl over the fully materialized reference world.
-  {
-    std::vector<BannerRecord> batch(surfaces.size());
-    probeBatch(surfaces.size(), [&](std::size_t i) {
-      const auto& surface = surfaces[i];
-      probeEndpointInto(*surface.endpoint, surface.ip, surface.port, geo, now,
-                        options.bodySnippetLimit, batch[i]);
-    });
-    index.beginShard("eager/bindings");
-    for (const auto& record : batch) index.addRecord(record);
-    index.endShard();
-  }
+  auto eager = std::make_shared<const std::vector<BannerRecord>>(
+      probeDocs(world, surfaces, geo, 0, eagerCount, options));
+  index.appendShard(indexShard("eager/bindings", 0, *eager));
 
   // Stream shards: materialize, probe, index, discard — peak memory is one
   // shard's worth of banners, never the whole world.
-  if (stream != nullptr) {
-    const auto hostsPerShard =
-        options.hostsPerShard == 0 ? std::uint64_t{8192} : options.hostsPerShard;
-    std::vector<BannerRecord> batch;
-    for (const auto& shard : stream->shards(hostsPerShard)) {
-      const auto count = static_cast<std::size_t>(shard.end - shard.begin);
-      batch.clear();
-      batch.resize(count);  // fresh records: no stale lowered-text caches
-      probeBatch(count, [&](std::size_t i) {
-        const auto host = stream->host(shard.begin + i);
-        const auto server = simnet::WorldStream::materializeEndpoint(host);
-        probeEndpointInto(*server, host.ip, host.port, geo, now,
-                          options.bodySnippetLimit, batch[i]);
-      });
-      index.beginShard(shard.label);
-      for (const auto& record : batch) index.addRecord(record);
-      index.endShard();
+  if (const auto* stream = world.hostStream()) {
+    const auto shards = stream->shards(options.hostsPerShard == 0
+                                           ? std::uint64_t{8192}
+                                           : options.hostsPerShard);
+    if (!shards.empty()) index.reserveDocs(eagerCount + shards.back().end);
+    for (const auto& shard : shards) {
+      const auto batch = probeDocs(world, surfaces, geo,
+                                   eagerCount + shard.begin,
+                                   eagerCount + shard.end, options);
+      index.appendShard(indexShard(
+          shard.label, eagerCount + static_cast<std::uint32_t>(shard.begin),
+          batch));
     }
   }
 
-  // The fetcher re-probes on demand: eager docs through their bound
-  // endpoints, streamed docs by re-materializing the pure host function —
-  // byte-identical to what the crawl indexed.
-  index.setRecordFetcher([&world, &geo, surfaces = std::move(surfaces), now,
-                          limit = options.bodySnippetLimit,
-                          eagerCount](std::uint32_t doc) {
-    if (doc < eagerCount) {
-      const auto& surface = surfaces[doc];
-      return probeEndpoint(*surface.endpoint, surface.ip, surface.port, geo,
-                           now, limit);
-    }
-    const auto* attached = world.hostStream();
-    if (attached == nullptr)
-      throw std::logic_error("crawlStream fetcher: host stream detached");
-    const auto host = attached->host(doc - eagerCount);
-    const auto server = simnet::WorldStream::materializeEndpoint(host);
-    return probeEndpoint(*server, host.ip, host.port, geo, now, limit);
-  });
+  index.setResidentRecords(std::move(eager));
+  index.setRecordFetcher(
+      streamFetcher(world, geo, eagerCount, options.bodySnippetLimit));
   return index;
 }
 
@@ -680,8 +425,8 @@ std::vector<BannerRecord> CensusScanner::sweep(
         for (const auto port : ports_) {
           auto* endpoint = world.externalEndpointAt(ip, port);
           if (endpoint == nullptr) continue;
-          out.push_back(
-              probeEndpoint(*endpoint, ip, port, geo, world.now(), 2048));
+          probeEndpointInto(*endpoint, ip, port, geo, world.now(), 2048,
+                            out.emplace_back());
         }
       }
     }

@@ -6,8 +6,8 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "geo/geodb.h"
@@ -35,25 +35,8 @@ struct BannerRecord {
   /// The searchable text: status line + raw headers + title + body.
   [[nodiscard]] std::string searchableText() const;
 
-  /// Lowercased searchable text, built once and cached so queries never
-  /// re-materialize the banner. BannerIndex primes every record at insert
-  /// time; prime before sharing a record across threads (the lazy fill is
-  /// not synchronized). Treat records as immutable once primed.
-  [[nodiscard]] const std::string& searchableTextLower() const;
-
-  /// Build the lowered-text cache now (idempotent).
-  void primeSearchText() const { (void)searchableTextLower(); }
-
-  /// primeSearchText through a caller-owned scratch buffer, so bulk crawls
-  /// reuse one staging allocation per worker instead of one per record.
-  void primeSearchText(std::string& scratch) const;
-
   /// Append the searchable text to `out` without clearing it.
   void appendSearchableText(std::string& out) const;
-
- private:
-  mutable std::string searchLower_;
-  mutable bool searchLowerReady_ = false;
 };
 
 /// A Shodan-style query: a keyword plus an optional country facet. The
@@ -64,122 +47,44 @@ struct Query {
   std::optional<std::string> countryAlpha2;
 };
 
-/// The banner search engine (the Shodan stand-in [27]).
-///
-/// `crawl` probes every externally visible surface in the world — the same
-/// epistemic position as a real Internet-wide scanner: it can only see what
-/// is publicly reachable. `search` does case-insensitive keyword matching
-/// over the stored banner text.
-///
-/// Two execution modes answer every query with identical results:
-///  - `kIndexed` (default): per-country buckets plus a token posting-list
-///    index (lowercased token -> sorted record ids). A keyword that is a
-///    single alphanumeric token resolves through the posting lists (the
-///    vocabulary is scanned for tokens containing the keyword, so matches
-///    inside longer tokens are kept); keywords with separators use their
-///    longest token as a pre-filter and are verified against the cached
-///    lowered text; keywords with no tokens at all fall back to a substring
-///    scan of the (bucketed) cached text.
-///  - `kReference`: the original linear scan, retained for equivalence
-///    testing and benchmarking (it still reuses the cached lowered text
-///    instead of rebuilding each banner per probe).
-class BannerIndex {
- public:
-  enum class SearchMode { kIndexed, kReference };
-
-  BannerIndex() = default;
-
-  /// Probe all externally visible surfaces; `geo` supplies the crawler's
-  /// country metadata. Body snippets are capped at `bodySnippetLimit`.
-  /// Surfaces are probed concurrently on the shared thread pool; results
-  /// land in binding order, so the index is byte-identical to a serial
-  /// crawl. External-surface handlers must therefore be thread-safe for the
-  /// crawler's anonymous `GET /` (all in-tree handlers are pure functions
-  /// of the request). `threadLimit == 1` forces the serial crawl.
-  void crawl(simnet::World& world, const geo::GeoDatabase& geo,
-             std::size_t bodySnippetLimit = 2048, std::size_t threadLimit = 0);
-
-  /// Build an index from pre-collected records (e.g. a CensusScanner sweep,
-  /// the larger-scale data source §3.1 mentions as ongoing work).
-  static BannerIndex fromRecords(std::vector<BannerRecord> records);
-
-  /// Append records to the index (merging multiple scan sources).
-  void addRecords(std::vector<BannerRecord> records);
-
-  void setSearchMode(SearchMode mode) { mode_ = mode; }
-  [[nodiscard]] SearchMode searchMode() const { return mode_; }
-
-  /// All records matching the query, in index order.
-  [[nodiscard]] std::vector<const BannerRecord*> search(const Query& query) const;
-
-  /// Union of results across many queries, de-duplicated by (ip, port),
-  /// ordered by first match (query order, then index order). In indexed
-  /// mode the per-keyword candidate sets are computed once per distinct
-  /// keyword — not once per (keyword, country) combination — and in
-  /// parallel on the shared pool; the merge is sequential in query order,
-  /// so results are identical across modes and thread counts.
-  [[nodiscard]] std::vector<const BannerRecord*> searchAll(
-      const std::vector<Query>& queries) const;
-
-  [[nodiscard]] const std::vector<BannerRecord>& records() const {
-    return records_;
-  }
-  [[nodiscard]] std::size_t size() const { return records_.size(); }
-
-  /// Distinct lowercased tokens in the posting-list index (diagnostics).
-  [[nodiscard]] std::size_t vocabularySize() const { return postings_.size(); }
-
- private:
-  /// Ids of records whose banner contains `loweredKeyword`, ascending. Uses
-  /// the posting lists when the keyword has at least one alphanumeric token,
-  /// otherwise scans the cached lowered text.
-  [[nodiscard]] std::vector<std::uint32_t> keywordCandidates(
-      const std::string& loweredKeyword) const;
-
-  [[nodiscard]] std::vector<const BannerRecord*> searchIndexed(
-      const Query& query) const;
-  [[nodiscard]] std::vector<const BannerRecord*> searchReference(
-      const Query& query) const;
-
-  /// Tokenize + bucket records_[begin..end) into the index structures —
-  /// reference form: sort + unique the token scratch per record, then append
-  /// each distinct token's id.
-  void indexRange(std::size_t begin);
-  /// indexRange without the per-record sort: ids append in ascending order,
-  /// so a posting list already ending in the current id marks a repeated
-  /// token. Identical postings, measurably cheaper; the fast crawl path and
-  /// bulk addRecords use this form.
-  void indexRangeLean(std::size_t begin);
-
-  SearchMode mode_ = SearchMode::kIndexed;
-  std::vector<BannerRecord> records_;
-  /// lowercased token -> record ids (ascending, unique). Transparent hashing
-  /// keeps the indexing loop from allocating a key string per (doc, token).
-  std::unordered_map<std::string, std::vector<std::uint32_t>, TokenHash,
-                     std::equal_to<>>
-      postings_;
-  /// UPPERCASED alpha2 -> record ids (ascending, unique).
-  std::unordered_map<std::string, std::vector<std::uint32_t>> countryBuckets_;
+/// One shard's worth of index structures over a contiguous doc range: the
+/// posting shard, the per-doc surface tables, and the shard's slice of the
+/// country buckets. ShardedBannerIndex is the concatenation of these.
+struct ShardParts {
+  PostingShard shard;
+  std::vector<std::uint32_t> ips;
+  std::vector<std::uint16_t> ports;
+  /// UPPERCASED alpha2 -> global doc ids (ascending).
+  std::map<std::string, std::vector<std::uint32_t>> countryDocs;
 };
 
-/// The million-host banner index: country/prefix shards of compressed
-/// posting lists over an interned vocabulary (scan::PostingShard), plus
-/// per-document (ip, port) tables and delta-coded country buckets.
+/// Index `records` as docs [docBase, docBase + records.size()) of one
+/// shard. Every index build (fromRecords, crawlStream, IncrementalCrawler
+/// cells) goes through this one loop.
+[[nodiscard]] ShardParts indexShard(std::string label, std::uint32_t docBase,
+                                    std::span<const BannerRecord> records);
+
+/// The banner search engine (the Shodan stand-in [27]): country/prefix
+/// shards of compressed posting lists over an interned vocabulary
+/// (scan::PostingShard), plus per-document (ip, port) tables and
+/// delta-coded country buckets. A campaign-sized world is a one-shard index;
+/// a million-host stream is one shard per stream shard.
 ///
-/// Documents are identified by dense uint32 doc ids in insertion order; the
-/// banners themselves are NOT stored. Queries that must look at full banner
-/// text (separator keywords, keywords with no alphanumeric token, passive
-/// identification) re-materialize records through the attached
-/// RecordFetcher — for a streamed crawl that is a deterministic re-probe of
-/// the pure host function, so fetched records are byte-identical to what the
-/// crawl saw.
+/// Documents are identified by dense uint32 doc ids in insertion order. The
+/// postings hold no banner text; queries that need it (separator keywords,
+/// keywords with no alphanumeric token, passive identification) read
+/// records back: records a build kept resident (fromRecords, a crawl's
+/// eagerly bound surfaces) as stored, streamed hosts re-probed from the pure
+/// host function through the attached RecordFetcher — either way
+/// byte-identical to what the crawl indexed.
 ///
-/// Search semantics mirror BannerIndex::searchIndexed exactly (the property
-/// tests enforce sharded ≡ monolithic ≡ reference); shards are built one at
-/// a time so peak build memory is O(shard), and cross-shard results merge by
-/// concatenation because shard doc ranges are ascending and disjoint (the
-/// degenerate k-way merge; the token-level k-way merge drives
-/// vocabularySize() and other cross-shard vocabulary consumers).
+/// Keyword search is case-insensitive substring matching over the banner
+/// text. A keyword that is a single alphanumeric token resolves through the
+/// posting lists (every vocabulary token containing it contributes, so
+/// matches inside longer tokens are kept); a keyword with separators uses
+/// its longest token as a pre-filter and is verified against the fetched
+/// text; a keyword with no token at all scans every fetched record. The
+/// linear oracle in scan/reference_search.h defines the expected results.
 class ShardedBannerIndex {
  public:
   /// Re-materialize one document's full banner record.
@@ -191,25 +96,18 @@ class ShardedBannerIndex {
   ShardedBannerIndex(const ShardedBannerIndex&) = delete;
   ShardedBannerIndex& operator=(const ShardedBannerIndex&) = delete;
 
-  // --- streaming build ----------------------------------------------------
+  /// Append one shard; its doc range must start at docCount(). Empty shards
+  /// are kept — they serialize and query as no-ops.
+  void appendShard(const ShardParts& parts);
+  /// Size the per-doc tables for `docs` documents up front.
+  void reserveDocs(std::size_t docs) {
+    ips_.reserve(docs);
+    ports_.reserve(docs);
+  }
 
-  /// Open a new shard; records added until endShard() belong to it. Doc ids
-  /// keep ascending across shards.
-  void beginShard(std::string label);
-  /// Index one record into the open shard (tokens, country bucket, surface
-  /// tables). The record itself is not retained.
-  void addRecord(const BannerRecord& record);
-  /// Seal the open shard (empty shards are kept — they serialize and query
-  /// as no-ops).
-  void endShard();
-
-  /// Shard an existing monolithic index (docs in record order, chunked at
-  /// `shardTargetDocs`). The fetcher reads from `index`, which must outlive
-  /// the returned sharded view.
-  [[nodiscard]] static ShardedBannerIndex fromIndex(
-      const BannerIndex& index, std::size_t shardTargetDocs = 8192);
-
-  /// Build from owned records (retained internally as the fetch source).
+  /// Build from owned records, chunked at `shardTargetDocs` (retained
+  /// internally as the fetch source; e.g. a CensusScanner sweep or an
+  /// imported dump).
   [[nodiscard]] static ShardedBannerIndex fromRecords(
       std::vector<BannerRecord> records, std::size_t shardTargetDocs = 8192);
 
@@ -220,10 +118,21 @@ class ShardedBannerIndex {
       std::map<std::string, DeltaIdList> countryBuckets,
       std::vector<PostingShard> shards);
 
+  /// Fetch source of docs past the resident records (see fetchRecord).
   void setRecordFetcher(RecordFetcher fetcher) { fetcher_ = std::move(fetcher); }
-  [[nodiscard]] bool hasRecordFetcher() const { return fetcher_ != nullptr; }
-  /// Fetch one document's record; throws std::logic_error without a fetcher.
+  /// Keep `records` as the fetch source of docs [0, records->size()).
+  void setResidentRecords(
+      std::shared_ptr<const std::vector<BannerRecord>> records) {
+    resident_ = std::move(records);
+  }
+  [[nodiscard]] bool hasRecordFetcher() const {
+    return resident_ != nullptr || fetcher_ != nullptr;
+  }
+  /// Fetch one document's record: resident records as stored, later docs
+  /// through the fetcher. Throws std::logic_error when neither covers `doc`.
   [[nodiscard]] BannerRecord fetchRecord(std::uint32_t doc) const;
+  /// Every document's record, in doc order (a scan dump).
+  [[nodiscard]] std::vector<BannerRecord> fetchAllRecords() const;
 
   // --- queries ------------------------------------------------------------
 
@@ -235,13 +144,14 @@ class ShardedBannerIndex {
     return {net::Ipv4Addr{ips_[doc]}, ports_[doc]};
   }
 
-  /// Doc ids matching the query, ascending — the same set
-  /// BannerIndex::search returns for the same corpus.
+  /// Doc ids matching the query, ascending.
   [[nodiscard]] std::vector<std::uint32_t> search(const Query& query) const;
 
   /// Union across queries, de-duplicated by (ip, port), ordered by first
-  /// match — BannerIndex::searchAll semantics on doc ids. Distinct keywords
-  /// resolve once, in parallel; country buckets decode once per searchAll.
+  /// match (query order, then doc order). Distinct keywords resolve once,
+  /// in parallel on the shared pool; country buckets decode once per
+  /// searchAll; the merge is sequential, so output is identical at any
+  /// thread count.
   [[nodiscard]] std::vector<std::uint32_t> searchAll(
       const std::vector<Query>& queries) const;
 
@@ -262,7 +172,7 @@ class ShardedBannerIndex {
   }
 
   /// Distinct tokens across all shards (k-way merged, so shared vocabulary
-  /// is counted once — comparable to BannerIndex::vocabularySize()).
+  /// is counted once).
   [[nodiscard]] std::size_t vocabularySize() const;
 
   /// Approximate resident footprint of the index structures, in bytes.
@@ -273,63 +183,77 @@ class ShardedBannerIndex {
       const std::string& loweredKeyword) const;
   [[nodiscard]] std::vector<std::uint32_t> decodeCountryBucket(
       const std::string& upperAlpha2) const;
+  /// The lowered banner text of `doc` into `lowered` (`text` is staging);
+  /// resident records are read in place, others fetched.
+  void lowerText(std::uint32_t doc, std::string& text,
+                 std::string& lowered) const;
 
   std::vector<PostingShard> shards_;
-  std::unique_ptr<PostingShard::Builder> openShard_;
   std::vector<std::uint32_t> ips_;
   std::vector<std::uint16_t> ports_;
   /// UPPERCASED alpha2 -> delta-coded doc ids (std::map: deterministic
   /// serialization order).
   std::map<std::string, DeltaIdList> countryBuckets_;
+  std::shared_ptr<const std::vector<BannerRecord>> resident_;
   RecordFetcher fetcher_;
-  /// fromRecords keeps its source here so the default fetcher stays valid
-  /// across moves.
-  std::shared_ptr<const std::vector<BannerRecord>> retained_;
-  /// Staging buffers reused across addRecord calls (build is single-writer).
-  std::string textScratch_;
-  std::string loweredScratch_;
 };
 
 /// Probe one reachable endpoint the way a banner crawler does: a plain GET /
-/// addressed to the bare IP. This is the single probe primitive every crawl
-/// flavour (eager, streamed, incremental) shares, so their records are
-/// field-for-field identical for the same endpoint state.
-[[nodiscard]] BannerRecord probeEndpoint(simnet::HttpEndpoint& endpoint,
-                                         net::Ipv4Addr ip, std::uint16_t port,
-                                         const geo::GeoDatabase& geo,
-                                         util::SimTime now,
-                                         std::size_t bodySnippetLimit);
-
-/// probeEndpoint into a reused record: response storage is moved, not
-/// copied, and the body is truncated in place. Field-for-field identical to
-/// probeEndpoint (the title is extracted from the full body first).
+/// addressed to the bare IP, into a reused record (response storage is
+/// moved, not copied; the title is extracted from the full body before the
+/// body is truncated). This is the single probe primitive every crawl
+/// flavour (eager, streamed, incremental, census) shares, so their records
+/// are field-for-field identical for the same endpoint state.
 void probeEndpointInto(simnet::HttpEndpoint& endpoint, net::Ipv4Addr ip,
                        std::uint16_t port, const geo::GeoDatabase& geo,
                        util::SimTime now, std::size_t bodySnippetLimit,
                        BannerRecord& out);
 
-/// Options for crawlStream.
+/// Options for crawlStream and IncrementalCrawler.
 struct StreamCrawlOptions {
   std::size_t bodySnippetLimit = 2048;
-  std::size_t threadLimit = 0;     ///< 1 forces serial probing
+  std::size_t threadLimit = 0;     ///< 1 probes on the calling thread
   std::uint64_t hostsPerShard = 8192;  ///< stream shard granularity
 };
 
-/// Crawl a world that may carry an attached host stream, building a
-/// ShardedBannerIndex within O(shard) memory: eagerly bound surfaces form
-/// the leading shard (binding order), then each stream shard is
-/// materialized, probed, indexed, and discarded. Doc order equals the
-/// binding order of the eager reference world (materializeInto), so the
-/// result is byte-identical to crawling that world with BannerIndex::crawl.
-/// The returned index's fetcher re-probes on demand and captures `world` and
-/// `geo` by reference — both must outlive the index.
+/// Probe docs [begin, end) of a world's crawl order — eagerly bound
+/// `surfaces` first (doc = binding index), then the attached stream's hosts
+/// (doc = surfaces.size() + host id) — on the shared pool, each probe
+/// writing only its own slot, so the batch is identical at any thread
+/// count.
+[[nodiscard]] std::vector<BannerRecord> probeDocs(
+    const simnet::World& world, const std::vector<simnet::Surface>& surfaces,
+    const geo::GeoDatabase& geo, std::uint64_t begin, std::uint64_t end,
+    const StreamCrawlOptions& options);
+
+/// The fetcher of a crawled index for its streamed docs (doc = eagerCount +
+/// host id): a re-materialization of the pure host function, byte-identical
+/// to what the crawl indexed. Captures `world` and `geo` by reference; both
+/// must outlive every index that holds it.
+[[nodiscard]] ShardedBannerIndex::RecordFetcher streamFetcher(
+    const simnet::World& world, const geo::GeoDatabase& geo,
+    std::uint32_t eagerCount, std::size_t bodySnippetLimit);
+
+/// Crawl every externally visible surface of a world — the same epistemic
+/// position as a real Internet-wide scanner — within O(shard) memory:
+/// eagerly bound surfaces form the leading shard (binding order), then each
+/// shard of an attached host stream is materialized, probed, indexed, and
+/// discarded. A world without a stream is a one-shard build. Doc order
+/// equals the binding order of the eager reference world
+/// (WorldStream::materializeInto), so a streamed crawl and a crawl of that
+/// world index the same banners under the same doc ids.
+///
+/// External-surface handlers must be thread-safe for the crawler's anonymous
+/// `GET /` (all in-tree handlers are pure functions of the request). The
+/// eager records stay resident as those docs' fetch source; streamed docs
+/// fetch through streamFetcher, so `world` and `geo` must outlive the index.
 [[nodiscard]] ShardedBannerIndex crawlStream(simnet::World& world,
                                              const geo::GeoDatabase& geo,
                                              StreamCrawlOptions options = {});
 
 /// Internet Census-style exhaustive scanner [10]: probes *every address* in
 /// every announced prefix on a port list, not just known-visible surfaces.
-/// Finds the same surfaces as BannerIndex::crawl but demonstrates the
+/// Finds the same surfaces as crawlStream but demonstrates the
 /// larger-scale approach §3.1 mentions as ongoing work.
 class CensusScanner {
  public:

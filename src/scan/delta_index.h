@@ -3,7 +3,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -11,24 +11,18 @@
 
 namespace urlf::scan {
 
-/// Options for IncrementalCrawler (mirrors StreamCrawlOptions).
-struct IncrementalCrawlOptions {
-  std::size_t bodySnippetLimit = 2048;
-  std::size_t threadLimit = 0;         ///< 1 forces the serial path
-  std::uint64_t hostsPerShard = 8192;  ///< stream cell granularity
-};
-
-/// Delta-driven re-crawl: keeps one posting cell per crawlStream shard
+/// Delta-driven re-crawl: keeps one cell (ShardParts) per crawlStream shard
 /// (the eager-bindings cell plus one cell per stream shard) and rebuilds
 /// only the cells a change feed marks dirty, then reassembles a
-/// ShardedBannerIndex from the cell parts.
+/// ShardedBannerIndex from the cells. Cells are probed, indexed and fetched
+/// through crawlStream's own probeDocs, indexShard and streamFetcher.
 ///
 /// Equivalence contract (enforced by tests/monitor_incremental_property_test
 /// and the monitor bench): after refresh(dirty) the assembled index is
 /// semantically identical to a fresh crawlStream of the same world — same
 /// doc-id layout (cells replicate crawlStream's shard order exactly), same
-/// postings per cell, same country buckets, same fetcher behaviour. That
-/// holds because
+/// postings per cell, same country buckets, same fetch sources (eager docs
+/// answer from the last eager-cell probe). That holds because
 ///   * the cell layout is pinned by a structural signature (the eager
 ///     surface list and the stream shard table); any layout change — a new
 ///     binding, an unbind, an attached/detached stream — forces a full
@@ -38,10 +32,10 @@ struct IncrementalCrawlOptions {
 ///     WorldStream contract plus the churn feed's exactness), so re-probing
 ///     them would reproduce byte-identical records.
 ///
-/// Dirty cells rebuild in parallel (cells are independent; output is
-/// byte-identical at any thread count). Quiet ticks rebuild only the eager
-/// cell — bound surfaces answer live policy state, which the feed cannot
-/// see — so per-tick cost is O(bound surfaces + dirty hosts), not O(world).
+/// Each rebuild probes on the shared pool (output is byte-identical at any
+/// thread count). Quiet ticks rebuild only the eager cell — bound surfaces
+/// answer live policy state, which the feed cannot see — so per-tick cost is
+/// O(bound surfaces + dirty hosts), not O(world).
 class IncrementalCrawler {
  public:
   /// The change feed: true when the stream host's content may have changed
@@ -51,15 +45,15 @@ class IncrementalCrawler {
   /// `world` and `geo` are captured by reference and must outlive the
   /// crawler and every index it assembles.
   IncrementalCrawler(simnet::World& world, const geo::GeoDatabase& geo,
-                     IncrementalCrawlOptions options = {});
+                     StreamCrawlOptions options = {});
 
   /// Bring the cells up to date with the world: rebuild the eager cell,
   /// every cell containing a dirty host, and — on a structural change —
   /// everything. First call always builds everything.
   void refresh(const DirtyHostFn& dirtyHost);
 
-  /// Assemble the current cells into a queryable index. The fetcher
-  /// re-probes on demand, exactly like crawlStream's.
+  /// Assemble the current cells into a queryable index with crawlStream's
+  /// fetch sources.
   [[nodiscard]] ShardedBannerIndex assemble() const;
 
   /// Diagnostics for the last refresh.
@@ -69,27 +63,25 @@ class IncrementalCrawler {
 
  private:
   struct Cell {
-    std::string label;
-    /// Stream host-id range [begin, end); 0/0 for the eager cell.
+    /// Doc range [begin, end) in crawl order (eager surfaces, then stream
+    /// hosts offset by the eager count).
     std::uint64_t begin = 0;
     std::uint64_t end = 0;
-    std::uint32_t docBase = 0;
-    PostingShard shard;
-    std::vector<std::uint32_t> ips;
-    std::vector<std::uint16_t> ports;
-    /// UPPERCASED alpha2 -> global doc ids (ascending within the cell).
-    std::map<std::string, std::vector<std::uint32_t>> countryDocs;
+    std::string label;
+    ShardParts parts;
   };
 
   [[nodiscard]] std::uint64_t layoutSignature() const;
   void rebuildLayout();
-  void rebuildEagerCell(Cell& cell) const;
-  void rebuildStreamCell(Cell& cell) const;
+  void rebuildCell(Cell& cell, const std::vector<simnet::Surface>& surfaces);
 
   simnet::World* world_;
   const geo::GeoDatabase* geo_;
-  IncrementalCrawlOptions options_;
+  StreamCrawlOptions options_;
   std::vector<Cell> cells_;
+  /// The eager cell's records: the fetch source of eager docs.
+  std::shared_ptr<const std::vector<BannerRecord>> eager_ =
+      std::make_shared<const std::vector<BannerRecord>>();
   std::uint64_t signature_ = 0;
   bool built_ = false;
   std::size_t cellsRebuilt_ = 0;

@@ -487,16 +487,13 @@ TickReport MonitorSession::runTick() {
 
   // --- re-scan -------------------------------------------------------------
   const auto scanStart = std::chrono::steady_clock::now();
+  scan::StreamCrawlOptions crawlOptions;
+  crawlOptions.threadLimit = options_.threads;
+  crawlOptions.hostsPerShard = options_.hostsPerShard;
   if (options_.mode == MonitorMode::kFull) {
-    scan::StreamCrawlOptions crawlOptions;
-    crawlOptions.threadLimit = options_.threads;
-    crawlOptions.hostsPerShard = options_.hostsPerShard;
     index_ = scan::crawlStream(world, geo_, crawlOptions);
   } else {
     if (!crawler_) {
-      scan::IncrementalCrawlOptions crawlOptions;
-      crawlOptions.threadLimit = options_.threads;
-      crawlOptions.hostsPerShard = options_.hostsPerShard;
       crawler_ =
           std::make_unique<scan::IncrementalCrawler>(world, geo_, crawlOptions);
     }

@@ -115,9 +115,13 @@ http::Response jsonResponse(int status, const Json& body) {
   return response;
 }
 
-std::optional<Json> bodyJson(const http::Request& request) {
-  if (request.body.empty()) return std::nullopt;
-  return Json::parse(request.body);
+std::optional<Json> bodyJson(const http::Request& request,
+                             std::string& error) {
+  if (request.body.empty()) {
+    error = "empty body";
+    return std::nullopt;
+  }
+  return Json::parse(request.body, &error);
 }
 
 http::Response errorResponse(int status, std::string_view message) {

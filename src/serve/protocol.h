@@ -68,9 +68,10 @@ struct SessionRequest {
 [[nodiscard]] http::Response jsonResponse(int status,
                                           const report::Json& body);
 
-/// Parse a request body as JSON; nullopt when absent or malformed.
-[[nodiscard]] std::optional<report::Json> bodyJson(
-    const http::Request& request);
+/// Parse a request body as JSON; nullopt when absent or malformed, with a
+/// one-line reason in `error`.
+[[nodiscard]] std::optional<report::Json> bodyJson(const http::Request& request,
+                                                   std::string& error);
 
 /// The standard error body: {"error": <message>}.
 [[nodiscard]] http::Response errorResponse(int status, std::string_view message);

@@ -208,10 +208,11 @@ http::Response CampaignServer::dispatch(const http::Request& request) {
   if (request.method == "POST" && path == "/v1/admin/release")
     return handleRelease(request);
   if (request.method == "POST" && path == "/v1/session") {
-    const auto body = bodyJson(request);
+    std::string why;
+    const auto body = bodyJson(request, why);
     if (!body) {
       noteCompletion(400, SessionRequest::Kind::kCampaign);
-      return errorResponse(400, "session body is not valid JSON");
+      return errorResponse(400, "session body is not valid JSON: " + why);
     }
     auto session = SessionRequest::parse(*body);
     if (!session) {
@@ -406,8 +407,10 @@ http::Response CampaignServer::handleSnapshots() {
 
 http::Response CampaignServer::handleRecategorize(
     const http::Request& request) {
-  const auto body = bodyJson(request);
-  if (!body) return errorResponse(400, "recategorize body is not valid JSON");
+  std::string why;
+  const auto body = bodyJson(request, why);
+  if (!body)
+    return errorResponse(400, "recategorize body is not valid JSON: " + why);
   const auto* name = body->find("snapshot");
   if (name == nullptr || !name->asString())
     return errorResponse(400, "recategorize needs a snapshot");
@@ -437,8 +440,10 @@ http::Response CampaignServer::handleRecategorize(
 }
 
 http::Response CampaignServer::handleRelease(const http::Request& request) {
-  const auto body = bodyJson(request);
-  if (!body) return errorResponse(400, "release body is not valid JSON");
+  std::string why;
+  const auto body = bodyJson(request, why);
+  if (!body)
+    return errorResponse(400, "release body is not valid JSON: " + why);
   const auto* token = body->find("token");
   if (token == nullptr || !token->asString())
     return errorResponse(400, "release needs a token");

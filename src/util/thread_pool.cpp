@@ -149,10 +149,11 @@ void parallelForChunks(
   for (std::size_t h = 0; h < helpers; ++h) {
     pool.submit([&run] {
       run.drain();
-      {
-        const std::lock_guard<std::mutex> lock(run.mutex);
-        --run.pendingHelpers;
-      }
+      // Notify while holding the mutex: the caller cannot observe the last
+      // decrement (and destroy `run`, which lives on its stack) until this
+      // helper has released the lock, after its last touch of `run`.
+      const std::lock_guard<std::mutex> lock(run.mutex);
+      --run.pendingHelpers;
       run.done.notify_one();
     });
   }

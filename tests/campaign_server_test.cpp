@@ -236,4 +236,35 @@ TEST(CampaignServerTest, LoopCarriesSessionsOverWireFormat) {
   EXPECT_EQ(loop.connectionCount(), 0u);
 }
 
+TEST(CampaignServerTest, DeeplyNestedSessionBodyIsRejectedAndServerServesOn) {
+  serve::CampaignServer server({.workers = 2, .maxQueued = 4});
+  server.addSnapshot("paper");
+  serve::ServerLoop loop(server);
+  auto client = loop.connect();
+
+  // 400 KB of "[[[…]]]": 200k levels, far past Json::kMaxDepth. Parsing it
+  // must fail with a one-line reason, not exhaust the worker's stack.
+  http::Request hostile;
+  hostile.method = "POST";
+  hostile.url = *net::Url::parse("http://campaigns.sim/v1/session");
+  hostile.headers.set("Content-Type", "application/json");
+  hostile.body = std::string(200000, '[') + std::string(200000, ']');
+  const auto rejected = client->roundTrip(hostile);
+  ASSERT_TRUE(rejected.ok()) << rejected.error();
+  EXPECT_EQ(rejected.value().statusCode, 400);
+  const auto error = Json::parse(rejected.value().body);
+  ASSERT_TRUE(error.has_value());
+  const auto* message = error->find("error");
+  ASSERT_TRUE(message != nullptr && message->asString());
+  EXPECT_NE(message->asString()->find("nesting deeper than"), std::string::npos)
+      << *message->asString();
+  EXPECT_EQ(message->asString()->find('\n'), std::string::npos);
+
+  // The same connection keeps working.
+  const auto status = client->roundTrip(get("/v1/status"));
+  ASSERT_TRUE(status.ok()) << status.error();
+  EXPECT_EQ(status.value().statusCode, 200);
+  loop.stop();
+}
+
 }  // namespace

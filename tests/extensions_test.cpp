@@ -167,12 +167,12 @@ TEST(CensusIdentificationTest, CensusIndexFindsSameInstallations) {
   const auto geo = world.buildGeoDatabase();
   const auto whois = world.buildAsnDatabase();
 
-  scan::BannerIndex shodan;
-  shodan.crawl(world, geo);
+  const auto shodan = scan::crawlStream(world, geo);
 
   // Sweep the product ports plus 80.
   scan::CensusScanner census({80, 4711, 8080, 8082, 15871});
-  auto censusIndex = scan::BannerIndex::fromRecords(census.sweep(world, geo));
+  const auto censusIndex =
+      scan::ShardedBannerIndex::fromRecords(census.sweep(world, geo));
 
   const auto engine = fingerprint::Engine::withBuiltinSignatures();
   core::Identifier fromShodan(world, shodan, engine, geo, whois);
@@ -197,8 +197,9 @@ TEST(PassiveIdentificationTest, MatchesActiveModeOnFullBanners) {
   auto& world = paper.world();
   const auto geo = world.buildGeoDatabase();
   const auto whois = world.buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo, /*bodySnippetLimit=*/1 << 16);
+  scan::StreamCrawlOptions options;
+  options.bodySnippetLimit = 1 << 16;
+  const auto index = scan::crawlStream(world, geo, options);
   core::Identifier identifier(world, index,
                               fingerprint::Engine::withBuiltinSignatures(),
                               geo, whois);
@@ -219,13 +220,13 @@ TEST(PassiveIdentificationTest, WorksOnExportedAndReimportedDumps) {
   auto& world = paper.world();
   const auto geo = world.buildGeoDatabase();
   const auto whois = world.buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
 
-  const auto dump = scan::exportRecords(index.records());
+  const auto dump = scan::exportRecords(index.fetchAllRecords());
   const auto imported = scan::importRecords(dump);
   ASSERT_TRUE(imported);
-  const auto restored = scan::BannerIndex::fromRecords(std::move(*imported));
+  const auto restored =
+      scan::ShardedBannerIndex::fromRecords(std::move(*imported));
 
   core::Identifier fromLive(world, index,
                             fingerprint::Engine::withBuiltinSignatures(), geo,
@@ -239,17 +240,20 @@ TEST(PassiveIdentificationTest, WorksOnExportedAndReimportedDumps) {
         << filters::toString(product);
 }
 
-TEST(CensusIdentificationTest, AddRecordsMergesSources) {
+TEST(CensusIdentificationTest, MergedSweepsIndexBothSources) {
   PaperWorld paper;
   auto& world = paper.world();
   const auto geo = world.buildGeoDatabase();
 
   scan::CensusScanner ports80({80});
   scan::CensusScanner ports8080({8080});
-  auto merged = scan::BannerIndex::fromRecords(ports80.sweep(world, geo));
-  const auto before = merged.size();
-  merged.addRecords(ports8080.sweep(world, geo));
-  EXPECT_GT(merged.size(), before);
+  auto records = ports80.sweep(world, geo);
+  const auto before = records.size();
+  const auto more = ports8080.sweep(world, geo);
+  records.insert(records.end(), more.begin(), more.end());
+  const auto merged = scan::ShardedBannerIndex::fromRecords(std::move(records));
+  EXPECT_GT(merged.docCount(), before);
+  EXPECT_EQ(merged.docCount(), before + more.size());
 }
 
 // ---------------------------------------------- HTTP submission portal ----

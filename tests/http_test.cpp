@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "http/header_map.h"
 #include "http/html.h"
 #include "http/message.h"
@@ -154,6 +156,52 @@ TEST(WireTest, ParseRejectsMalformed) {
   EXPECT_FALSE(parseResponse("HTTP/1.1 200 OK\r\nNoColonHere\r\n\r\n"));
   EXPECT_FALSE(parseResponse("HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc"));
   EXPECT_FALSE(parseResponse("SPDY/1 200 OK\r\n\r\n"));
+}
+
+TEST(WireTest, ParseRejectsOverflowingAndConflictingContentLength) {
+  EXPECT_FALSE(parseResponse(
+      "HTTP/1.1 200 OK\r\nContent-Length: 18446744073709551617\r\n\r\nab"));
+  EXPECT_FALSE(parseResponse(
+      "HTTP/1.1 200 OK\r\nContent-Length: 1\r\nContent-Length: 2\r\n\r\nab"));
+  const auto agreeing = parseResponse(
+      "HTTP/1.1 200 OK\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\nab");
+  ASSERT_TRUE(agreeing);
+  EXPECT_EQ(agreeing->body, "ab");
+}
+
+TEST(WireTest, FrameCompletesOnContentLength) {
+  const std::string wire =
+      "POST /v1 HTTP/1.1\r\nHost: abcde.sim\r\nContent-Length: 3\r\n\r\n";
+  EXPECT_EQ(messageFrame(wire).state, Frame::State::kIncomplete);
+  const auto frame = messageFrame(wire + "xyzPOST");
+  EXPECT_EQ(frame.state, Frame::State::kComplete);
+  EXPECT_EQ(frame.size, wire.size() + 3);
+}
+
+TEST(WireTest, FrameRejectsContentLengthThatWrapsTheFrameSize) {
+  // headerEnd + 4 + (2^64 - 2) used to wrap to 74: a "complete" frame
+  // shorter than its own 76-byte header, desyncing the stream.
+  const std::string wire =
+      "POST /v1 HTTP/1.1\r\nHost: abcde.sim\r\n"
+      "Content-Length: 18446744073709551614\r\n\r\n";
+  ASSERT_EQ(wire.size(), 76u);
+  EXPECT_EQ(messageFrame(wire).state, Frame::State::kBad);
+  // Digit-loop overflow.
+  EXPECT_EQ(messageFrame("POST /v1 HTTP/1.1\r\nHost: a\r\n"
+                         "Content-Length: 99999999999999999999999\r\n\r\n")
+                .state,
+            Frame::State::kBad);
+}
+
+TEST(WireTest, FrameRejectsConflictingContentLengths) {
+  EXPECT_EQ(messageFrame("POST /v1 HTTP/1.1\r\nHost: a\r\nContent-Length: 1"
+                         "\r\nContent-Length: 2\r\n\r\nab")
+                .state,
+            Frame::State::kBad);
+  const auto same = messageFrame(
+      "POST /v1 HTTP/1.1\r\nHost: a\r\nContent-Length: 2\r\n"
+      "Content-Length: 2\r\n\r\nab");
+  EXPECT_EQ(same.state, Frame::State::kComplete);
 }
 
 TEST(WireTest, RequestRoundTrip) {

@@ -24,8 +24,7 @@ TEST(EndToEndTest, IdentifyConfirmCharacterize) {
   // --- §3: identify.
   const auto geo = world.buildGeoDatabase();
   const auto whois = world.buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
   core::Identifier identifier(world, index,
                               fingerprint::Engine::withBuiltinSignatures(),
                               geo, whois);
@@ -103,8 +102,7 @@ TEST(EndToEndTest, ChallengeThreeTandemNegativeResult) {
   PaperWorld paper;
   auto& world = paper.world();
   const auto geo = world.buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
   core::Identifier identifier(world, index,
                               fingerprint::Engine::withBuiltinSignatures(),
                               geo, world.buildAsnDatabase());
@@ -185,8 +183,7 @@ TEST(EndToEndTest, GeoErrorsPerturbButDoNotBreakIdentification) {
   PaperWorld paper;
   auto& world = paper.world();
   const auto noisyGeo = world.buildGeoDatabase(/*errorRate=*/0.1);
-  scan::BannerIndex index;
-  index.crawl(world, noisyGeo);
+  const auto index = scan::crawlStream(world, noisyGeo);
   core::Identifier identifier(world, index,
                               fingerprint::Engine::withBuiltinSignatures(),
                               noisyGeo, world.buildAsnDatabase());

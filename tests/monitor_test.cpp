@@ -114,8 +114,7 @@ class MonitorFixture : public ::testing::Test {
     auto& world = paper.world();
     const auto geo = world.buildGeoDatabase();
     const auto whois = world.buildAsnDatabase();
-    scan::BannerIndex index;
-    index.crawl(world, geo);
+    const auto index = scan::crawlStream(world, geo);
     Identifier identifier(world, index,
                           fingerprint::Engine::withBuiltinSignatures(), geo,
                           whois);

@@ -16,7 +16,7 @@ class ProfilerFixture : public ::testing::Test {
   ProfilerFixture() {
     geo = paper.world().buildGeoDatabase();
     whois = paper.world().buildAsnDatabase();
-    index.crawl(paper.world(), geo);
+    index = scan::crawlStream(paper.world(), geo);
   }
 
   ProfilerSources sources(const std::string& alpha2) {
@@ -35,7 +35,7 @@ class ProfilerFixture : public ::testing::Test {
   PaperWorld paper;
   geo::GeoDatabase geo;
   geo::AsnDatabase whois;
-  scan::BannerIndex index;
+  scan::ShardedBannerIndex index;  // fetcher holds paper.world() and geo
 };
 
 TEST_F(ProfilerFixture, EtisalatProfileIsCoherent) {

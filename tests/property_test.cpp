@@ -216,13 +216,12 @@ TEST_P(KeywordDiscoverability, OwnKeywordsFindOwnSurfaces) {
   MiniWorld mini(kind, /*deployed=*/true);
 
   const auto geo = mini.world.buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(mini.world, geo);
+  const auto index = scan::crawlStream(mini.world, geo);
 
   bool found = false;
   for (const auto& keyword : core::Identifier::shodanKeywords(kind)) {
-    for (const auto* record : index.search({keyword, std::nullopt})) {
-      if (record->ip == mini.deployment->serviceIp()) {
+    for (const auto doc : index.search({keyword, std::nullopt})) {
+      if (index.surface(doc).ip == mini.deployment->serviceIp()) {
         found = true;
         break;
       }

@@ -18,8 +18,7 @@ std::map<filters::ProductKind, std::vector<core::Installation>> identify(
   auto& world = random.world();
   const auto geo = world.buildGeoDatabase();
   const auto whois = world.buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(world, geo);
+  const auto index = scan::crawlStream(world, geo);
   core::Identifier identifier(world, index,
                               fingerprint::Engine::withBuiltinSignatures(),
                               geo, whois);

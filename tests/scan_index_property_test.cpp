@@ -1,9 +1,10 @@
-// Equivalence properties of the indexed scan→identify pipeline:
-//  - indexed BannerIndex::search/searchAll return exactly the reference
-//    (linear-scan) result sets over randomized worlds and randomized
-//    queries, including country facets, mixed-case keywords, keywords
-//    spanning token boundaries, and punctuation-only keywords;
-//  - parallel crawl and parallel identifyAll are byte-identical to their
+// Equivalence properties of the scan→identify pipeline:
+//  - ShardedBannerIndex::search/searchAll return exactly the linear oracle's
+//    (scan/reference_search.h) result sets over randomized worlds and
+//    randomized queries, including country facets, mixed-case keywords,
+//    keywords spanning token boundaries, and punctuation-only keywords —
+//    for the one-shard crawl build and for multi-shard fromRecords builds;
+//  - a parallel crawl and parallel identifyAll are byte-identical to their
 //    serial counterparts for the same seed.
 #include <gtest/gtest.h>
 
@@ -13,6 +14,7 @@
 
 #include "core/serialize.h"
 #include "net/cctld.h"
+#include "scan/reference_search.h"
 #include "scan/serialize.h"
 #include "scenarios/random_world.h"
 #include "util/rng.h"
@@ -34,9 +36,9 @@ RandomWorldConfig mediumWorld() {
 
 /// Random keyword drawn from real banner text so it can straddle token
 /// boundaries ("r\n<title>Net"), with random case flips.
-std::string keywordFromBanner(util::Rng& rng, const BannerIndex& index) {
-  const auto& records = index.records();
-  const auto& text = records[rng.index(records.size())].searchableText();
+std::string keywordFromBanner(util::Rng& rng,
+                              const std::vector<BannerRecord>& records) {
+  const auto text = records[rng.index(records.size())].searchableText();
   if (text.empty()) return "x";
   const std::size_t len = 1 + rng.index(18);
   const std::size_t start = rng.index(text.size());
@@ -47,7 +49,8 @@ std::string keywordFromBanner(util::Rng& rng, const BannerIndex& index) {
   return keyword;
 }
 
-std::vector<Query> randomQueries(util::Rng& rng, const BannerIndex& index,
+std::vector<Query> randomQueries(util::Rng& rng,
+                                 const std::vector<BannerRecord>& records,
                                  int count) {
   const std::vector<std::string> fixed = {
       "proxysg",       "cfru=",          "mcafee web gateway",
@@ -63,12 +66,11 @@ std::vector<Query> randomQueries(util::Rng& rng, const BannerIndex& index,
     if (rng.chance(0.4)) {
       query.keyword = fixed[rng.index(fixed.size())];
     } else {
-      query.keyword = keywordFromBanner(rng, index);
+      query.keyword = keywordFromBanner(rng, records);
     }
     const double facet = rng.uniform01();
     if (facet < 0.4) {
       // a country actually present in the index (random case)
-      const auto& records = index.records();
       auto country = records[rng.index(records.size())].countryAlpha2;
       if (!country.empty() && rng.chance(0.5))
         country = util::toLower(country);
@@ -81,59 +83,15 @@ std::vector<Query> randomQueries(util::Rng& rng, const BannerIndex& index,
   return out;
 }
 
-std::vector<const BannerRecord*> searchInMode(BannerIndex& index,
-                                              BannerIndex::SearchMode mode,
-                                              const Query& query) {
-  index.setSearchMode(mode);
-  return index.search(query);
+/// The oracle's answer to one query: search semantics (no de-duplication).
+std::vector<std::uint32_t> oracleSearch(
+    const std::vector<BannerRecord>& records, const Query& query) {
+  return referenceSearch(records, {query}, /*dedupe=*/false);
 }
 
-TEST(ScanIndexProperty, IndexedSearchMatchesReferenceOnRandomWorlds) {
-  for (const std::uint64_t seed : {11u, 22u, 33u}) {
-    RandomWorld world(seed, mediumWorld());
-    const auto geo = world.world().buildGeoDatabase();
-    BannerIndex index;
-    index.crawl(world.world(), geo);
-    ASSERT_GT(index.size(), 0u);
-
-    util::Rng rng(seed * 1000 + 7);
-    const auto queries = randomQueries(rng, index, 200);
-    for (const auto& query : queries) {
-      const auto indexed =
-          searchInMode(index, BannerIndex::SearchMode::kIndexed, query);
-      const auto reference =
-          searchInMode(index, BannerIndex::SearchMode::kReference, query);
-      ASSERT_EQ(indexed, reference)
-          << "seed=" << seed << " keyword=\"" << query.keyword << "\" country="
-          << query.countryAlpha2.value_or("(none)");
-    }
-  }
-}
-
-TEST(ScanIndexProperty, SearchAllMatchesReferenceOnRandomQueries) {
-  RandomWorld world(77, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-
-  util::Rng rng(404);
-  const auto queries = randomQueries(rng, index, 300);
-
-  index.setSearchMode(BannerIndex::SearchMode::kIndexed);
-  const auto indexed = index.searchAll(queries);
-  index.setSearchMode(BannerIndex::SearchMode::kReference);
-  const auto reference = index.searchAll(queries);
-  EXPECT_EQ(indexed, reference);
-}
-
-TEST(ScanIndexProperty, SearchAllMatchesReferenceOnFullKeywordCountryFanOut) {
-  RandomWorld world(5150, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-
-  // The §3.1 fan-out the Identifier issues: every product keyword alone and
-  // crossed with every registry country.
+/// The §3.1 fan-out the Identifier issues: every product keyword alone and
+/// crossed with every registry country.
+std::vector<Query> fullFanOut() {
   std::vector<Query> queries;
   for (const auto product : filters::allProducts()) {
     for (const auto& keyword : core::Identifier::shodanKeywords(product)) {
@@ -142,13 +100,46 @@ TEST(ScanIndexProperty, SearchAllMatchesReferenceOnFullKeywordCountryFanOut) {
         queries.push_back({keyword, std::string(country.alpha2)});
     }
   }
+  return queries;
+}
 
-  index.setSearchMode(BannerIndex::SearchMode::kIndexed);
-  const auto indexed = index.searchAll(queries);
-  index.setSearchMode(BannerIndex::SearchMode::kReference);
-  const auto reference = index.searchAll(queries);
-  EXPECT_EQ(indexed, reference);
-  EXPECT_GT(indexed.size(), 0u);
+TEST(ScanIndexProperty, SearchMatchesOracleOnRandomWorlds) {
+  for (const std::uint64_t seed : {11u, 22u, 33u}) {
+    RandomWorld world(seed, mediumWorld());
+    const auto geo = world.world().buildGeoDatabase();
+    const auto index = crawlStream(world.world(), geo);
+    ASSERT_GT(index.docCount(), 0u);
+    const auto records = index.fetchAllRecords();
+
+    util::Rng rng(seed * 1000 + 7);
+    for (const auto& query : randomQueries(rng, records, 200)) {
+      ASSERT_EQ(index.search(query), oracleSearch(records, query))
+          << "seed=" << seed << " keyword=\"" << query.keyword << "\" country="
+          << query.countryAlpha2.value_or("(none)");
+    }
+  }
+}
+
+TEST(ScanIndexProperty, SearchAllMatchesOracleOnRandomQueries) {
+  RandomWorld world(77, mediumWorld());
+  const auto geo = world.world().buildGeoDatabase();
+  const auto index = crawlStream(world.world(), geo);
+  const auto records = index.fetchAllRecords();
+
+  util::Rng rng(404);
+  const auto queries = randomQueries(rng, records, 300);
+  EXPECT_EQ(index.searchAll(queries), referenceSearch(records, queries));
+}
+
+TEST(ScanIndexProperty, SearchAllMatchesOracleOnFullKeywordCountryFanOut) {
+  RandomWorld world(5150, mediumWorld());
+  const auto geo = world.world().buildGeoDatabase();
+  const auto index = crawlStream(world.world(), geo);
+
+  const auto queries = fullFanOut();
+  const auto hits = index.searchAll(queries);
+  EXPECT_EQ(hits, referenceSearch(index.fetchAllRecords(), queries));
+  EXPECT_GT(hits.size(), 0u);
 }
 
 TEST(ScanIndexProperty, ParallelCrawlIsByteIdenticalToSerialCrawl) {
@@ -157,16 +148,18 @@ TEST(ScanIndexProperty, ParallelCrawlIsByteIdenticalToSerialCrawl) {
   const auto geoA = worldA.world().buildGeoDatabase();
   const auto geoB = worldB.world().buildGeoDatabase();
 
-  BannerIndex serial;
-  serial.crawl(worldA.world(), geoA, 2048, /*threadLimit=*/1);
-  BannerIndex parallel;
-  parallel.crawl(worldB.world(), geoB, 2048, /*threadLimit=*/0);
+  StreamCrawlOptions serialOptions;
+  serialOptions.threadLimit = 1;
+  const auto serial = crawlStream(worldA.world(), geoA, serialOptions);
+  const auto parallel = crawlStream(worldB.world(), geoB);
 
-  EXPECT_EQ(exportRecords(serial.records(), 0),
-            exportRecords(parallel.records(), 0));
+  EXPECT_EQ(exportRecords(serial.fetchAllRecords(), 0),
+            exportRecords(parallel.fetchAllRecords(), 0));
+  EXPECT_EQ(exportShardedIndex(serial), exportShardedIndex(parallel));
 }
 
-core::Identifier makeIdentifier(RandomWorld& world, const BannerIndex& index,
+core::Identifier makeIdentifier(RandomWorld& world,
+                                const ShardedBannerIndex& index,
                                 std::size_t threads) {
   core::IdentifierConfig config;
   config.threads = threads;
@@ -179,8 +172,7 @@ core::Identifier makeIdentifier(RandomWorld& world, const BannerIndex& index,
 TEST(ScanIndexProperty, ParallelIdentifyAllIsByteIdenticalToSerial) {
   RandomWorld world(2024, mediumWorld());
   const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
+  const auto index = crawlStream(world.world(), geo);
 
   const auto serial = makeIdentifier(world, index, 1).identifyAll();
   const auto parallel = makeIdentifier(world, index, 0).identifyAll();
@@ -190,63 +182,39 @@ TEST(ScanIndexProperty, ParallelIdentifyAllIsByteIdenticalToSerial) {
 TEST(ScanIndexProperty, ParallelIdentifyAllPassiveIsByteIdenticalToSerial) {
   RandomWorld world(2025, mediumWorld());
   const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
+  const auto index = crawlStream(world.world(), geo);
 
   const auto serial = makeIdentifier(world, index, 1).identifyAllPassive();
   const auto parallel = makeIdentifier(world, index, 0).identifyAllPassive();
   EXPECT_EQ(core::toJson(serial).dump(2), core::toJson(parallel).dump(2));
 }
 
-std::vector<std::pair<std::uint32_t, std::uint16_t>> surfacesOf(
-    const std::vector<const BannerRecord*>& hits) {
-  std::vector<std::pair<std::uint32_t, std::uint16_t>> out;
-  out.reserve(hits.size());
-  for (const auto* record : hits) out.emplace_back(record->ip.value(), record->port);
-  return out;
-}
-
-std::vector<std::pair<std::uint32_t, std::uint16_t>> surfacesOf(
-    const ShardedBannerIndex& index, const std::vector<std::uint32_t>& docs) {
-  std::vector<std::pair<std::uint32_t, std::uint16_t>> out;
-  out.reserve(docs.size());
-  for (const auto doc : docs) {
-    const auto surface = index.surface(doc);
-    out.emplace_back(surface.ip.value(), surface.port);
-  }
-  return out;
-}
-
-TEST(ScanIndexProperty, ShardedSearchMatchesMonolithicAndReference) {
+TEST(ScanIndexProperty, MultiShardSearchMatchesOneShardAndOracle) {
   for (const std::uint64_t seed : {101u, 202u}) {
     RandomWorld world(seed, mediumWorld());
     const auto geo = world.world().buildGeoDatabase();
-    BannerIndex index;
-    index.crawl(world.world(), geo);
+    const auto oneShard = crawlStream(world.world(), geo);
+    const auto records = oneShard.fetchAllRecords();
 
     // Small shard target so the corpus spans many shards.
-    const auto sharded = ShardedBannerIndex::fromIndex(index, 16);
-    ASSERT_EQ(sharded.docCount(), index.size());
-    EXPECT_EQ(sharded.vocabularySize(), index.vocabularySize());
+    const auto sharded = ShardedBannerIndex::fromRecords(records, 16);
+    ASSERT_EQ(sharded.docCount(), oneShard.docCount());
+    ASSERT_GT(sharded.shardCount(), 1u);
+    EXPECT_EQ(sharded.vocabularySize(), oneShard.vocabularySize());
 
     util::Rng rng(seed + 5);
-    for (const auto& query : randomQueries(rng, index, 150)) {
-      const auto viaSharded = surfacesOf(sharded, sharded.search(query));
-      const auto viaIndexed = surfacesOf(
-          searchInMode(index, BannerIndex::SearchMode::kIndexed, query));
-      const auto viaReference = surfacesOf(
-          searchInMode(index, BannerIndex::SearchMode::kReference, query));
-      ASSERT_EQ(viaSharded, viaIndexed)
+    for (const auto& query : randomQueries(rng, records, 150)) {
+      const auto viaSharded = sharded.search(query);
+      ASSERT_EQ(viaSharded, oneShard.search(query))
           << "seed=" << seed << " keyword=\"" << query.keyword << "\"";
-      ASSERT_EQ(viaSharded, viaReference)
+      ASSERT_EQ(viaSharded, oracleSearch(records, query))
           << "seed=" << seed << " keyword=\"" << query.keyword << "\"";
     }
 
     util::Rng rngAll(seed + 6);
-    const auto queries = randomQueries(rngAll, index, 120);
-    index.setSearchMode(BannerIndex::SearchMode::kIndexed);
-    EXPECT_EQ(surfacesOf(sharded, sharded.searchAll(queries)),
-              surfacesOf(index.searchAll(queries)));
+    const auto queries = randomQueries(rngAll, records, 120);
+    EXPECT_EQ(sharded.searchAll(queries), oneShard.searchAll(queries));
+    EXPECT_EQ(sharded.searchAll(queries), referenceSearch(records, queries));
   }
 }
 
@@ -285,9 +253,8 @@ TEST(ScanIndexProperty, DeltaIdListRoundTripsRandomAscendingSequences) {
 TEST(ScanIndexProperty, ShardedIndexSurvivesExportImportRoundTrip) {
   RandomWorld world(606, mediumWorld());
   const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-  const auto sharded = ShardedBannerIndex::fromIndex(index, 16);
+  const auto sharded = ShardedBannerIndex::fromRecords(
+      crawlStream(world.world(), geo).fetchAllRecords(), 16);
 
   const auto blob = exportShardedIndex(sharded);
   const auto imported = importShardedIndex(blob);
@@ -332,69 +299,38 @@ TEST(ScanIndexProperty, ShardedIndexHandlesEmptyAndSingleDocShards) {
   EXPECT_EQ(emptyImported->docCount(), 0u);
 
   // One document per shard — the degenerate sharding — still matches the
-  // monolithic index on every query.
+  // linear oracle on every query.
   RandomWorld world(707, mediumWorld());
   const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-  const auto singletons = ShardedBannerIndex::fromIndex(index, 1);
-  ASSERT_EQ(singletons.shardCount(), index.size());
+  const auto records = crawlStream(world.world(), geo).fetchAllRecords();
+  const auto singletons = ShardedBannerIndex::fromRecords(records, 1);
+  ASSERT_EQ(singletons.shardCount(), records.size());
 
   util::Rng rng(11);
-  for (const auto& query : randomQueries(rng, index, 60)) {
-    EXPECT_EQ(surfacesOf(singletons, singletons.search(query)),
-              surfacesOf(
-                  searchInMode(index, BannerIndex::SearchMode::kIndexed, query)))
+  for (const auto& query : randomQueries(rng, records, 60)) {
+    EXPECT_EQ(singletons.search(query), oracleSearch(records, query))
         << "keyword=\"" << query.keyword << "\"";
   }
 }
 
-TEST(ScanIndexProperty, ShardedIdentifyAllMatchesMonolithic) {
+TEST(ScanIndexProperty, MultiShardIdentifyAllMatchesOneShard) {
   RandomWorld world(909, mediumWorld());
   const auto geo = world.world().buildGeoDatabase();
-  BannerIndex index;
-  index.crawl(world.world(), geo);
-  const auto sharded = ShardedBannerIndex::fromIndex(index, 16);
+  const auto oneShard = crawlStream(world.world(), geo);
+  const auto sharded =
+      ShardedBannerIndex::fromRecords(oneShard.fetchAllRecords(), 16);
 
-  const core::Identifier viaMonolithic(
-      world.world(), index, fingerprint::Engine::withBuiltinSignatures(),
+  const core::Identifier viaOneShard(
+      world.world(), oneShard, fingerprint::Engine::withBuiltinSignatures(),
       world.world().buildGeoDatabase(), world.world().buildAsnDatabase());
   const core::Identifier viaSharded(
       world.world(), sharded, fingerprint::Engine::withBuiltinSignatures(),
       world.world().buildGeoDatabase(), world.world().buildAsnDatabase());
 
-  EXPECT_EQ(core::toJson(viaMonolithic.identifyAll()).dump(2),
+  EXPECT_EQ(core::toJson(viaOneShard.identifyAll()).dump(2),
             core::toJson(viaSharded.identifyAll()).dump(2));
-  EXPECT_EQ(core::toJson(viaMonolithic.identifyAllPassive()).dump(2),
+  EXPECT_EQ(core::toJson(viaOneShard.identifyAllPassive()).dump(2),
             core::toJson(viaSharded.identifyAllPassive()).dump(2));
-}
-
-TEST(ScanIndexProperty, AddRecordsKeepsIndexConsistent) {
-  RandomWorld world(31337, mediumWorld());
-  const auto geo = world.world().buildGeoDatabase();
-  BannerIndex crawled;
-  crawled.crawl(world.world(), geo);
-
-  // Rebuild the same index through the fromRecords/addRecords path in two
-  // chunks; queries must agree with the crawl-built index.
-  auto records = crawled.records();
-  const std::size_t half = records.size() / 2;
-  BannerIndex merged = BannerIndex::fromRecords(
-      {records.begin(), records.begin() + static_cast<std::ptrdiff_t>(half)});
-  merged.addRecords(
-      {records.begin() + static_cast<std::ptrdiff_t>(half), records.end()});
-  ASSERT_EQ(merged.size(), crawled.size());
-
-  util::Rng rng(99);
-  for (const auto& query : randomQueries(rng, crawled, 100)) {
-    const auto a = crawled.search(query);
-    const auto b = merged.search(query);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i]->ip.value(), b[i]->ip.value());
-      EXPECT_EQ(a[i]->port, b[i]->port);
-    }
-  }
 }
 
 }  // namespace

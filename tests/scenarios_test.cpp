@@ -217,8 +217,7 @@ TEST(Fig1Test, IdentificationRecoversAllVisibleGroundTruth) {
   PaperWorld paper;
   const auto geo = paper.world().buildGeoDatabase();
   const auto whois = paper.world().buildAsnDatabase();
-  scan::BannerIndex index;
-  index.crawl(paper.world(), geo);
+  const auto index = scan::crawlStream(paper.world(), geo);
   core::Identifier identifier(paper.world(), index,
                               fingerprint::Engine::withBuiltinSignatures(),
                               geo, whois);
@@ -243,8 +242,7 @@ TEST(Fig1Test, IdentificationRecoversAllVisibleGroundTruth) {
 TEST(Fig1Test, CountriesMatchTheSec32Narrative) {
   PaperWorld paper;
   const auto geo = paper.world().buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(paper.world(), geo);
+  const auto index = scan::crawlStream(paper.world(), geo);
   core::Identifier identifier(paper.world(), index,
                               fingerprint::Engine::withBuiltinSignatures(),
                               geo, paper.world().buildAsnDatabase());
@@ -268,8 +266,7 @@ TEST(Fig1Test, CountriesMatchTheSec32Narrative) {
 TEST(PaperWorldOptionsTest, HiddenSurfacesDefeatScanning) {
   PaperWorld paper(kPaperSeed, {.hideExternalSurfaces = true});
   const auto geo = paper.world().buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(paper.world(), geo);
+  const auto index = scan::crawlStream(paper.world(), geo);
   core::Identifier identifier(paper.world(), index,
                               fingerprint::Engine::withBuiltinSignatures(),
                               geo, paper.world().buildAsnDatabase());

@@ -3,6 +3,8 @@
 // serializers, evaluation metrics, and the regex fingerprint matchers.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/evaluation.h"
 #include "core/serialize.h"
 #include "fingerprint/matcher.h"
@@ -108,6 +110,33 @@ TEST(JsonTest, ParseRejectsMalformed) {
   EXPECT_FALSE(Json::parse("\"bad\\q\""));
 }
 
+TEST(JsonTest, ParseBoundsNestingDepth) {
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(Json::parse(nested(Json::kMaxDepth)).has_value());
+  std::string error;
+  EXPECT_FALSE(Json::parse(nested(Json::kMaxDepth + 1), &error).has_value());
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+
+  // 100k levels used to recurse until the stack ran out.
+  error.clear();
+  EXPECT_FALSE(Json::parse(nested(100000), &error).has_value());
+  EXPECT_NE(error.find("nesting deeper than"), std::string::npos) << error;
+  EXPECT_EQ(error.find('\n'), std::string::npos);
+  const std::string objects =
+      [] {
+        std::string text;
+        for (int i = 0; i < 100000; ++i) text += "{\"a\":";
+        return text + "1" + std::string(100000, '}');
+      }();
+  EXPECT_FALSE(Json::parse(objects).has_value());
+
+  error.clear();
+  EXPECT_FALSE(Json::parse("[1, 2", &error).has_value());
+  EXPECT_NE(error.find("invalid JSON at offset"), std::string::npos) << error;
+}
+
 TEST(JsonTest, TypeErrorsThrow) {
   Json number = Json::number(1.0);
   EXPECT_THROW(number["k"], std::logic_error);
@@ -164,17 +193,16 @@ INSTANTIATE_TEST_SUITE_P(Sweep, JsonRoundTrip,
 TEST(ScanSerializeTest, RoundTripsRealScanData) {
   scenarios::PaperWorld paper;
   const auto geo = paper.world().buildGeoDatabase();
-  scan::BannerIndex index;
-  index.crawl(paper.world(), geo);
-  ASSERT_GT(index.size(), 50u);
+  const auto index = scan::crawlStream(paper.world(), geo);
+  ASSERT_GT(index.docCount(), 50u);
 
-  const auto exported = scan::exportRecords(index.records());
+  const auto exported = scan::exportRecords(index.fetchAllRecords());
   const auto imported = scan::importRecords(exported);
   ASSERT_TRUE(imported);
-  ASSERT_EQ(imported->size(), index.size());
+  ASSERT_EQ(imported->size(), index.docCount());
 
-  for (std::size_t i = 0; i < imported->size(); ++i) {
-    const auto& a = index.records()[i];
+  for (std::uint32_t i = 0; i < imported->size(); ++i) {
+    const auto a = index.fetchRecord(i);
     const auto& b = (*imported)[i];
     EXPECT_EQ(a.ip, b.ip);
     EXPECT_EQ(a.port, b.port);
@@ -187,9 +215,10 @@ TEST(ScanSerializeTest, RoundTripsRealScanData) {
   }
 
   // An imported index searches identically.
-  const auto restored = scan::BannerIndex::fromRecords(std::move(*imported));
-  EXPECT_EQ(restored.search({"netsweeper", std::nullopt}).size(),
-            index.search({"netsweeper", std::nullopt}).size());
+  const auto restored =
+      scan::ShardedBannerIndex::fromRecords(std::move(*imported));
+  EXPECT_EQ(restored.search({"netsweeper", std::nullopt}),
+            index.search({"netsweeper", std::nullopt}));
 }
 
 TEST(ScanSerializeTest, ImportRejectsMalformed) {

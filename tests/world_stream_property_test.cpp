@@ -2,10 +2,10 @@
 //  - streamed hosts are a pure function of (seed, id), with hostAt as the
 //    exact inverse of host();
 //  - shards() partitions the id space contiguously for any target size;
-//  - crawlStream over a stream-attached world is byte-identical to
-//    BannerIndex::crawl over the eagerly materialized reference world —
-//    records, searches, and identifyAll results all agree, for any shard
-//    granularity.
+//  - crawlStream over a stream-attached world is byte-identical to the
+//    one-shard crawl of the eagerly materialized reference world — records,
+//    searches (also against the linear oracle), and identifyAll results all
+//    agree, for any shard granularity.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,6 +16,7 @@
 #include "core/serialize.h"
 #include "net/cctld.h"
 #include "scan/banner_index.h"
+#include "scan/reference_search.h"
 #include "scan/serialize.h"
 #include "scenarios/random_world.h"
 #include "simnet/world_stream.h"
@@ -109,20 +110,18 @@ TEST(WorldStreamProperty, StreamedCrawlIsByteIdenticalToEagerReference) {
     const auto sharded =
         scan::crawlStream(twins.streamed.world(), geoStreamed, options);
 
-    scan::BannerIndex reference;
-    reference.crawl(twins.eager.world(), geoEager);
+    const auto reference = scan::crawlStream(twins.eager.world(), geoEager);
 
-    ASSERT_EQ(sharded.docCount(), reference.size());
+    ASSERT_EQ(sharded.docCount(), reference.docCount());
     ASSERT_GT(sharded.docCount(), 0u);
 
     // Every re-fetched streamed record equals the eagerly crawled one.
-    std::vector<scan::BannerRecord> fetched;
-    for (std::uint32_t doc = 0; doc < sharded.docCount(); ++doc)
-      fetched.push_back(sharded.fetchRecord(doc));
-    EXPECT_EQ(scan::exportRecords(fetched, 0),
-              scan::exportRecords(reference.records(), 0));
+    const auto eagerRecords = reference.fetchAllRecords();
+    EXPECT_EQ(scan::exportRecords(sharded.fetchAllRecords(), 0),
+              scan::exportRecords(eagerRecords, 0));
 
-    // The §3.1 keyword×country fan-out returns the same surfaces.
+    // The §3.1 keyword×country fan-out returns the same docs as the eager
+    // crawl and as the linear oracle over its records.
     std::vector<scan::Query> queries;
     for (const auto product : filters::allProducts()) {
       for (const auto& keyword : core::Identifier::shodanKeywords(product)) {
@@ -132,13 +131,8 @@ TEST(WorldStreamProperty, StreamedCrawlIsByteIdenticalToEagerReference) {
       }
     }
     const auto shardedDocs = sharded.searchAll(queries);
-    const auto referenceHits = reference.searchAll(queries);
-    ASSERT_EQ(shardedDocs.size(), referenceHits.size());
-    for (std::size_t i = 0; i < shardedDocs.size(); ++i) {
-      const auto surface = sharded.surface(shardedDocs[i]);
-      EXPECT_EQ(surface.ip.value(), referenceHits[i]->ip.value());
-      EXPECT_EQ(surface.port, referenceHits[i]->port);
-    }
+    EXPECT_EQ(shardedDocs, reference.searchAll(queries));
+    EXPECT_EQ(shardedDocs, scan::referenceSearch(eagerRecords, queries));
     EXPECT_GT(shardedDocs.size(), 0u)
         << "bait fraction should have planted keyword candidates";
 
@@ -152,8 +146,7 @@ TEST(WorldStreamProperty, IdentifyAllAgreesAcrossStreamedAndEagerWorlds) {
   const auto geoEager = twins.eager.world().buildGeoDatabase();
 
   const auto sharded = scan::crawlStream(twins.streamed.world(), geoStreamed);
-  scan::BannerIndex reference;
-  reference.crawl(twins.eager.world(), geoEager);
+  const auto reference = scan::crawlStream(twins.eager.world(), geoEager);
 
   const core::Identifier streamedId(
       twins.streamed.world(), sharded,
